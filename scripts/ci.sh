@@ -52,31 +52,6 @@ echo "$DYN_OUT" | grep -qE "^pending 0, pages [0-9]+, sources 20[01], queue_dept
 echo "$DYN_OUT" | grep -q "^bye$" \
   || { echo "ci: dynamic serve did not shut down cleanly" >&2; exit 1; }
 
-stage "sharded end-to-end (rank/serve --shards)"
-# The sharding layer driven exactly as a deployment would: a sharded
-# batch rank must agree with the monolithic one, and a sharded serve
-# session must publish through the dirty-shard recompute path and
-# report per-shard freshness.
-MONO_RANK=$(./build/tools/srsr_cli rank --in "$SERVE_DIR" --topk 5)
-SHARD_RANK=$(./build/tools/srsr_cli rank --in "$SERVE_DIR" --topk 5 \
-  --shards 4 --partition scc)
-[ "$MONO_RANK" = "$SHARD_RANK" ] \
-  || { echo "ci: sharded rank diverged from monolithic" >&2; exit 1; }
-SHARD_OUT=$(printf 'recompute 0.5\ninfo\nstats\nquit\n' \
-  | ./build/tools/srsr_cli serve --in "$SERVE_DIR" \
-      --shards 4 --partition scc --shard-workers 2)
-echo "$SHARD_OUT"
-echo "$SHARD_OUT" | grep -qE "published epoch 2 \([0-9]+ iterations, converged" \
-  || { echo "ci: sharded serve recompute did not publish" >&2; exit 1; }
-echo "$SHARD_OUT" | grep -qE "^shards 4, partition scc, last_dirty [0-9]+" \
-  || { echo "ci: sharded serve info missing shard summary" >&2; exit 1; }
-echo "$SHARD_OUT" | grep -qE "^shard 3 epoch [0-9]+ staleness [0-9.]+s dirty [01]$" \
-  || { echo "ci: sharded serve info missing per-shard lines" >&2; exit 1; }
-echo "$SHARD_OUT" | grep -qE "^published .*, shards 4, dirty [0-9]+, shard_updates [0-9]+" \
-  || { echo "ci: sharded serve stats missing shard fields" >&2; exit 1; }
-echo "$SHARD_OUT" | grep -q "^bye$" \
-  || { echo "ci: sharded serve did not shut down cleanly" >&2; exit 1; }
-
 stage "prometheus exposition (stats --prometheus | check_expfmt.py)"
 # The exporter's output must be a valid 0.0.4 text exposition: names,
 # TYPE lines, cumulative histogram buckets ending at +Inf == _count.

@@ -38,15 +38,6 @@ SpamResilientSourceRank::SpamResilientSourceRank(const graph::Graph& pages,
   // configuration afterwards is an O(V) plan over it.
   base_transpose_ = base_matrix_.transpose();
   row_stats_ = ThrottleRowStats::of(base_matrix_);
-  if (config_.sharding.shards >= 1) {
-    obs::StageTimer shard_stage("core.shard_build");
-    graph::PartitionConfig pc;
-    pc.num_shards = config_.sharding.shards;
-    pc.mode = config_.sharding.partition;
-    sharded_matrix_.emplace(
-        base_matrix_,
-        graph::ShardPlan::build(source_graph_.topology(), pc));
-  }
   // T' is built by consensus/uniform weighting, which must emit a
   // row-(sub)stochastic matrix (Eq. 2 precondition). O(E), so debug and
   // sanitizer builds only.
@@ -56,6 +47,9 @@ SpamResilientSourceRank::SpamResilientSourceRank(const graph::Graph& pages,
 
 rank::StochasticMatrix SpamResilientSourceRank::throttled_matrix(
     std::span<const f64> kappa) const {
+  SRSR_CHECK(kappa.size() == num_sources(),
+             "SpamResilientSourceRank::throttled_matrix: kappa has ",
+             kappa.size(), " entries for ", num_sources(), " sources");
   obs::StageTimer stage("core.throttle_transform");
   return materialize_throttled(
       base_matrix_, make_throttle_plan(row_stats_, kappa,
@@ -64,69 +58,14 @@ rank::StochasticMatrix SpamResilientSourceRank::throttled_matrix(
 
 rank::ThrottledView SpamResilientSourceRank::throttled_view(
     std::span<const f64> kappa) const {
+  SRSR_CHECK(kappa.size() == num_sources(),
+             "SpamResilientSourceRank::throttled_view: kappa has ",
+             kappa.size(), " entries for ", num_sources(), " sources");
   obs::Span span("core.throttle_plan");
   obs::StageTimer stage("core.throttle_plan");
   return rank::ThrottledView(
       base_matrix_, base_transpose_,
       make_throttle_plan(row_stats_, kappa, config_.throttle_mode));
-}
-
-const graph::ShardPlan& SpamResilientSourceRank::shard_plan() const {
-  SRSR_CHECK(sharded(),
-             "SpamResilientSourceRank::shard_plan: model is not sharded");
-  return sharded_matrix_->plan();
-}
-
-rank::ShardedOperator SpamResilientSourceRank::sharded_view(
-    std::span<const f64> kappa) const {
-  SRSR_CHECK(sharded(),
-             "SpamResilientSourceRank::sharded_view: model is not sharded");
-  obs::Span span("core.throttle_plan");
-  obs::StageTimer stage("core.throttle_plan");
-  return rank::ShardedOperator(
-      base_matrix_, *sharded_matrix_,
-      make_throttle_plan(row_stats_, kappa, config_.throttle_mode));
-}
-
-rank::RankResult SpamResilientSourceRank::solve_sharded(
-    const rank::ShardedOperator& op, std::span<const f64> warm_start,
-    const ShardedRankOptions& options) const {
-  obs::Span span("core.solve");
-  obs::StageTimer stage("core.solve");
-  rank::ShardedSolveConfig sc;
-  sc.base.alpha = config_.alpha;
-  sc.base.convergence = config_.convergence;
-  if (!warm_start.empty())
-    sc.base.initial.emplace(warm_start.begin(), warm_start.end());
-  sc.schedule = config_.sharding.schedule;
-  sc.inner_iterations = config_.sharding.inner_iterations;
-  sc.dirty_shards = options.dirty_shards;
-  sc.activation_tolerance = options.activation_tolerance;
-  sc.executor = options.executor;
-  sc.stats = options.stats;
-  return config_.solver == SolverKind::kPower
-             ? rank::sharded_power_solve(op, sc)
-             : rank::sharded_jacobi_solve(op, sc);
-}
-
-rank::RankResult SpamResilientSourceRank::rank_sharded(
-    std::span<const f64> kappa, std::span<const f64> warm_start,
-    const ShardedRankOptions& options) const {
-  SRSR_CHECK(sharded(),
-             "SpamResilientSourceRank::rank_sharded: model is not sharded");
-  SRSR_CHECK(kappa.size() == num_sources(),
-             "SpamResilientSourceRank::rank_sharded: kappa has ",
-             kappa.size(), " entries for ", num_sources(), " sources");
-  SRSR_CHECK(warm_start.empty() || warm_start.size() == num_sources(),
-             "SpamResilientSourceRank::rank_sharded: warm start has ",
-             warm_start.size(), " entries for ", num_sources(), " sources");
-  SRSR_CHECK(options.dirty_shards.empty() ||
-                 options.dirty_shards.size() == num_shards(),
-             "SpamResilientSourceRank::rank_sharded: dirty mask has ",
-             options.dirty_shards.size(), " flags for ", num_shards(),
-             " shards");
-  validate_kappa(kappa, "SpamResilientSourceRank::rank_sharded: kappa");
-  return solve_sharded(sharded_view(kappa), warm_start, options);
 }
 
 rank::RankResult SpamResilientSourceRank::solve(
@@ -151,7 +90,6 @@ rank::RankResult SpamResilientSourceRank::rank(
              "SpamResilientSourceRank::rank: kappa has ", kappa.size(),
              " entries for ", num_sources(), " sources");
   validate_kappa(kappa, "SpamResilientSourceRank::rank: kappa");
-  if (sharded()) return solve_sharded(sharded_view(kappa), {}, {});
   return solve(throttled_view(kappa));
 }
 
@@ -164,7 +102,6 @@ rank::RankResult SpamResilientSourceRank::rank(
              "SpamResilientSourceRank::rank: warm start has ",
              warm_start.size(), " entries for ", num_sources(), " sources");
   validate_kappa(kappa, "SpamResilientSourceRank::rank: kappa");
-  if (sharded()) return solve_sharded(sharded_view(kappa), warm_start, {});
   return solve(throttled_view(kappa), warm_start);
 }
 

@@ -18,7 +18,6 @@
 // an O(E) matrix.
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -27,8 +26,6 @@
 #include "core/source_map.hpp"
 #include "core/spam_proximity.hpp"
 #include "core/throttle.hpp"
-#include "graph/partition.hpp"
-#include "rank/sharded_solve.hpp"
 #include "rank/solvers.hpp"
 #include "util/common.hpp"
 
@@ -44,29 +41,6 @@ enum class SolverKind {
   kJacobi,  // linear-system route (Eq. 3)
 };
 
-/// Sharded construction/solve parameters. `shards = 0` keeps today's
-/// monolithic path untouched; `shards >= 1` builds a ShardPlan +
-/// ShardedMatrix at construction and routes every rank() through the
-/// block solvers (`shards = 1` is bit-identical to the monolithic
-/// path — the contract rank_sharded_test pins).
-struct ShardingConfig {
-  u32 shards = 0;
-  graph::PartitionMode partition = graph::PartitionMode::kHostHash;
-  rank::ShardSchedule schedule = rank::ShardSchedule::kBlockJacobi;
-  u32 inner_iterations = 1;
-};
-
-/// Incremental sharded solve controls (serve's dirty-shard recompute
-/// path). Defaults reproduce a plain full solve.
-struct ShardedRankOptions {
-  /// Empty = full solve; otherwise one flag per shard (see
-  /// rank/sharded_solve.hpp's incremental contract).
-  std::span<const u8> dirty_shards = {};
-  f64 activation_tolerance = 0.0;
-  rank::ShardExecutor* executor = nullptr;
-  rank::ShardedSolveStats* stats = nullptr;
-};
-
 struct SrsrConfig {
   f64 alpha = 0.85;
   rank::Convergence convergence;
@@ -79,7 +53,6 @@ struct SrsrConfig {
   /// literal Sec. 3.3 reading (kSelfAbsorb) is the default; the Sec. 6
   /// experiments use kTeleportDiscard.
   ThrottleMode throttle_mode = ThrottleMode::kSelfAbsorb;
-  ShardingConfig sharding;
 };
 
 class SpamResilientSourceRank {
@@ -110,20 +83,6 @@ class SpamResilientSourceRank {
   /// call costs O(V), not O(E).
   rank::ThrottledView throttled_view(std::span<const f64> kappa) const;
 
-  /// True when the model was built with config.sharding.shards >= 1.
-  bool sharded() const { return sharded_matrix_.has_value(); }
-  /// The shard plan (sharded models only).
-  const graph::ShardPlan& shard_plan() const;
-  u32 num_shards() const {
-    return sharded() ? sharded_matrix_->num_shards() : 1;
-  }
-
-  /// The sharded T'' operator for a given kappa: the same O(V) throttle
-  /// plan scattered into per-shard slices over the ShardedMatrix built
-  /// at construction. Borrows this model's matrices (same lifetime
-  /// contract as throttled_view). Sharded models only.
-  rank::ShardedOperator sharded_view(std::span<const f64> kappa) const;
-
   /// Ranks sources under the given throttling vector.
   rank::RankResult rank(std::span<const f64> kappa) const;
 
@@ -137,13 +96,6 @@ class SpamResilientSourceRank {
 
   /// Baseline SourceRank: no throttling information (kappa = 0).
   rank::RankResult rank_baseline() const;
-
-  /// Sharded-path solve with explicit options. `warm_start` may be
-  /// empty (cold). Sharded models only; plain rank() on a sharded
-  /// model is equivalent to rank_sharded with default options.
-  rank::RankResult rank_sharded(std::span<const f64> kappa,
-                                std::span<const f64> warm_start,
-                                const ShardedRankOptions& options = {}) const;
 
   struct ThrottledRanking {
     rank::RankResult ranking;    // SRSR scores per source
@@ -161,19 +113,11 @@ class SpamResilientSourceRank {
  private:
   rank::RankResult solve(const rank::TransitionOperator& op,
                          std::span<const f64> warm_start = {}) const;
-  rank::RankResult solve_sharded(const rank::ShardedOperator& op,
-                                 std::span<const f64> warm_start,
-                                 const ShardedRankOptions& options) const;
-
   SrsrConfig config_;
   SourceGraph source_graph_;
   rank::StochasticMatrix base_matrix_;
   rank::StochasticMatrix base_transpose_;  // transpose of base_matrix_
   ThrottleRowStats row_stats_;             // kappa-independent row sums
-  // Sharding layer (config_.sharding.shards >= 1 only). The sharded
-  // matrix owns its copy of the plan; operators built from it borrow
-  // base_matrix_ per call, mirroring the throttled_view contract.
-  std::optional<rank::ShardedMatrix> sharded_matrix_;
 };
 
 }  // namespace srsr::core

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "graph/builder.hpp"
+#include "util/check.hpp"
 
 namespace srsr::graph {
 
@@ -56,7 +57,8 @@ Graph star(NodeId n, bool bidirectional) {
 
 Graph erdos_renyi(NodeId n, f64 p, Pcg32& rng) {
   check(n > 0, "erdos_renyi: n must be positive");
-  check(p >= 0.0 && p <= 1.0, "erdos_renyi: p must be in [0,1]");
+  SRSR_CHECK(p >= 0.0 && p <= 1.0, "erdos_renyi: p = ", p,
+             ", must be in [0,1]");
   GraphBuilder b(n);
   if (p <= 0.0) return b.build();
   if (p >= 1.0) return complete(n);

@@ -4,6 +4,7 @@
 
 #include "graph/builder.hpp"
 #include "graph/transforms.hpp"
+#include "util/check.hpp"
 
 namespace srsr::graph {
 
@@ -83,8 +84,9 @@ SccResult strongly_connected_components(const Graph& g) {
 }
 
 Graph condensation(const Graph& g, const SccResult& scc) {
-  check(scc.component.size() == g.num_nodes(),
-        "condensation: SCC result does not match graph");
+  SRSR_CHECK(scc.component.size() == g.num_nodes(),
+             "condensation: SCC result covers ", scc.component.size(),
+             " nodes, graph has ", g.num_nodes());
   GraphBuilder b(scc.num_components);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     const NodeId cu = scc.component[u];

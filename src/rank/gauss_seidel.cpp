@@ -103,7 +103,8 @@ RankResult gauss_seidel_solve(const TransitionOperator& op,
 
 RankResult gauss_seidel_solve(const StochasticMatrix& matrix,
                               const SolverConfig& config) {
-  const MatrixOperator op(matrix);
+  const StochasticMatrix transpose = matrix.transpose();
+  const ThrottledView op(matrix, transpose, identity_plan(matrix));
   return gauss_seidel_solve(op, config);
 }
 

@@ -5,52 +5,19 @@
 
 namespace srsr::rank {
 
-MatrixOperator::MatrixOperator(const StochasticMatrix& matrix)
-    : matrix_(&matrix),
-      pull_(matrix.transpose()),
-      deficits_(matrix.row_deficits()) {}
-
-void MatrixOperator::pull(std::span<const f64> x, std::span<f64> y) const {
-  const NodeId n = num_rows();
-  SRSR_CHECK(x.size() == n && y.size() == n,
-             "MatrixOperator::pull: size mismatch");
-  // srsr:hot matrix-pull
-  parallel_for(0, n, [&](std::size_t v) {
-    const auto cs = pull_.row_cols(static_cast<NodeId>(v));
-    const auto ws = pull_.row_weights(static_cast<NodeId>(v));
-    f64 acc = 0.0;
-    for (std::size_t i = 0; i < cs.size(); ++i) acc += x[cs[i]] * ws[i];
-    y[v] = acc;
-  });
-  // srsr:endhot
-}
-
-f64 MatrixOperator::pull_off_diagonal(NodeId v, std::span<const f64> x) const {
-  const auto cs = pull_.row_cols(v);
-  const auto ws = pull_.row_weights(v);
-  f64 acc = 0.0;
-  for (std::size_t i = 0; i < cs.size(); ++i)
-    if (cs[i] != v) acc += x[cs[i]] * ws[i];
-  return acc;
-}
-
-f64 MatrixOperator::diagonal(NodeId v) const {
-  if (!diag_built_) {
-    diag_.assign(num_rows(), 0.0);
-    for (NodeId r = 0; r < num_rows(); ++r) {
-      const auto cs = pull_.row_cols(r);
-      const auto ws = pull_.row_weights(r);
-      for (std::size_t i = 0; i < cs.size(); ++i)
-        if (cs[i] == r) diag_[r] += ws[i];
-    }
-    diag_built_ = true;
+RowAffinePlan identity_plan(const StochasticMatrix& matrix) {
+  const NodeId n = matrix.num_rows();
+  RowAffinePlan plan;
+  plan.off_scale.assign(n, 1.0);
+  plan.diagonal.assign(n, 0.0);
+  for (NodeId r = 0; r < n; ++r) {
+    const auto cs = matrix.row_cols(r);
+    const auto ws = matrix.row_weights(r);
+    for (std::size_t i = 0; i < cs.size(); ++i)
+      if (cs[i] == r) plan.diagonal[r] += ws[i];
   }
-  return diag_[v];
-}
-
-OperatorRow MatrixOperator::row(NodeId u, std::vector<NodeId>&,
-                                std::vector<f64>&) const {
-  return {matrix_->row_cols(u), matrix_->row_weights(u)};
+  plan.deficit = matrix.row_deficits();
+  return plan;
 }
 
 ThrottledView::ThrottledView(const StochasticMatrix& base,
@@ -95,6 +62,9 @@ void ThrottledView::pull(std::span<const f64> x, std::span<f64> y) const {
 }
 
 f64 ThrottledView::pull_off_diagonal(NodeId v, std::span<const f64> x) const {
+  SRSR_DCHECK(v < num_rows() && x.size() == num_rows(),
+              "ThrottledView::pull_off_diagonal: row ", v, " of ",
+              num_rows(), ", x has ", x.size(), " entries");
   const auto cs = pull_->row_cols(v);
   const auto ws = pull_->row_weights(v);
   const f64* const scale = plan_.off_scale.data();
@@ -106,18 +76,18 @@ f64 ThrottledView::pull_off_diagonal(NodeId v, std::span<const f64> x) const {
   return acc;
 }
 
-OperatorRow throttled_row(const StochasticMatrix& base,
-                          const RowAffinePlan& plan, NodeId u,
-                          std::vector<NodeId>& cols_scratch,
-                          std::vector<f64>& weights_scratch) {
+OperatorRow ThrottledView::row(NodeId u, std::vector<NodeId>& cols_scratch,
+                               std::vector<f64>& weights_scratch) const {
+  SRSR_DCHECK(u < num_rows(), "ThrottledView::row: row ", u, " of ",
+              num_rows());
   // srsr:hot throttled-row — per-sweep row synthesis for the
   // Gauss-Seidel and push solvers. The scratch vectors are caller-owned
   // and reused across every row of a solve, so the growth calls below
   // are amortized-zero after the first sweep.
-  const auto cs = base.row_cols(u);
-  const auto ws = base.row_weights(u);
-  const f64 scale = plan.off_scale[u];
-  const f64 diag = plan.diagonal[u];
+  const auto cs = base_->row_cols(u);
+  const auto ws = base_->row_weights(u);
+  const f64 scale = plan_.off_scale[u];
+  const f64 diag = plan_.diagonal[u];
 
   bool has_self = false;
   for (const NodeId c : cs)
@@ -157,11 +127,6 @@ OperatorRow throttled_row(const StochasticMatrix& base,
   }
   return {cols_scratch, weights_scratch};
   // srsr:endhot
-}
-
-OperatorRow ThrottledView::row(NodeId u, std::vector<NodeId>& cols_scratch,
-                               std::vector<f64>& weights_scratch) const {
-  return throttled_row(*base_, plan_, u, cols_scratch, weights_scratch);
 }
 
 }  // namespace srsr::rank

@@ -9,20 +9,16 @@
 //   diagonal(v)              A_vv, for the implicit Gauss-Seidel solve;
 //   row(u, ...)              forward row access, for residual push.
 //
-// Two implementations:
-//
-//   MatrixOperator  — wraps a materialized StochasticMatrix; transposes
-//                     it once at construction. This is exactly the old
-//                     per-solve behavior, factored out.
-//   ThrottledView   — the lazy throttle operator. Holds the transposed
-//                     base matrix T' (built ONCE by the caller) plus a
-//                     RowAffinePlan of three O(V) vectors; entries of
-//                     T'' = throttle(T', kappa) are computed on the fly
-//                     as off_scale[r] * T'_rc with the diagonal
-//                     overridden. Sweeping kappa configurations then
-//                     costs an O(V) plan build per configuration
-//                     instead of two O(E) copies (materialize +
-//                     transpose).
+// ThrottledView is the one CSR implementation. It holds a base matrix B
+// and its transpose (both built ONCE by the caller) plus a RowAffinePlan
+// of three O(V) vectors; entries of A are computed on the fly as
+// off_scale[r] * B_rc with the diagonal overridden. Under the throttle
+// plan (core::make_throttle_plan) A = T'' = throttle(T', kappa), so
+// sweeping kappa configurations costs an O(V) plan build per
+// configuration instead of two O(E) copies (materialize + transpose).
+// Under identity_plan(B) A = B itself: that is how the StochasticMatrix
+// overloads of the solvers iterate a materialized matrix. (The other
+// implementation is stream's DynamicOperator over a mutable row store.)
 //
 // A ThrottledView is immutable after construction and safe to share
 // across threads for concurrent pull()/row() calls (lock-free reads of
@@ -83,57 +79,24 @@ class TransitionOperator {
   /// A_vv.
   virtual f64 diagonal(NodeId v) const = 0;
 
-  /// Forward row u of A. Implementations may fill the scratch buffers
-  /// (the view computes weights on the fly) or return spans straight
-  /// into their own storage (the matrix wrapper copies nothing).
+  /// Forward row u of A. Implementations compute weights on the fly into
+  /// the scratch buffers and may return columns straight from their own
+  /// storage (the scratch column buffer is only needed when the row
+  /// gains a diagonal entry its base pattern lacks).
   virtual OperatorRow row(NodeId u, std::vector<NodeId>& cols_scratch,
                           std::vector<f64>& weights_scratch) const = 0;
 
   virtual u64 memory_bytes() const = 0;
 };
 
-/// Forward row u of the plan applied to `base` — off-diagonal entries
-/// scaled by off_scale[u], the diagonal overridden (spliced into the
-/// sorted column list when the base pattern has no self entry). Shared
-/// by ThrottledView::row and ShardedOperator::row so the two forward
-/// views can never drift apart.
-OperatorRow throttled_row(const StochasticMatrix& base,
-                          const RowAffinePlan& plan, NodeId u,
-                          std::vector<NodeId>& cols_scratch,
-                          std::vector<f64>& weights_scratch);
+/// The plan under which a ThrottledView over `matrix` reproduces
+/// `matrix` itself: off_scale = 1, diagonal = the row's self weight
+/// (summed over self entries; 0 when it has none), deficit =
+/// row_deficits(). O(E).
+RowAffinePlan identity_plan(const StochasticMatrix& matrix);
 
-/// Today's behavior, factored out: wraps a materialized matrix and
-/// transposes it once at construction. The wrapped matrix must outlive
-/// the operator.
-class MatrixOperator final : public TransitionOperator {
- public:
-  explicit MatrixOperator(const StochasticMatrix& matrix);
-
-  NodeId num_rows() const override { return matrix_->num_rows(); }
-  u64 num_entries() const override { return matrix_->num_entries(); }
-  const std::vector<f64>& deficits() const override { return deficits_; }
-  void pull(std::span<const f64> x, std::span<f64> y) const override;
-  f64 pull_off_diagonal(NodeId v, std::span<const f64> x) const override;
-  f64 diagonal(NodeId v) const override;
-  OperatorRow row(NodeId u, std::vector<NodeId>& cols_scratch,
-                  std::vector<f64>& weights_scratch) const override;
-  u64 memory_bytes() const override {
-    return pull_.memory_bytes() + deficits_.size() * sizeof(f64);
-  }
-
- private:
-  const StochasticMatrix* matrix_;
-  StochasticMatrix pull_;  // transpose of *matrix_
-  std::vector<f64> deficits_;
-  // Diagonal extracted lazily — only the Gauss-Seidel route needs it.
-  // Not synchronized: first use must come from a single thread (every
-  // solver driver runs its setup single-threaded).
-  mutable std::vector<f64> diag_;
-  mutable bool diag_built_ = false;
-};
-
-/// The lazy throttle operator: T'' entries computed on read from the
-/// transposed T' plus the per-row plan. Both matrices must outlive the
+/// The lazy row-affine operator: entries of A computed on read from the
+/// transposed base plus the per-row plan. Both matrices must outlive the
 /// view; `transpose` must be `base.transpose()`.
 class ThrottledView final : public TransitionOperator {
  public:

@@ -2,15 +2,16 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "rank/solver_internal.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace srsr::rank {
 
-namespace internal {
+namespace {
 
+/// The teleport distribution c: uniform when the config has none,
+/// otherwise the configured vector validated and L1-normalized.
 std::vector<f64> make_teleport(const SolverConfig& config, NodeId n) {
   if (!config.teleport) return std::vector<f64>(n, 1.0 / static_cast<f64>(n));
   const auto& t = *config.teleport;
@@ -28,6 +29,9 @@ std::vector<f64> make_teleport(const SolverConfig& config, NodeId n) {
   return out;
 }
 
+/// The iteration's starting vector: uniform when the config has no
+/// initial, otherwise the configured (warm start) vector validated and
+/// L1-normalized.
 std::vector<f64> make_initial(const SolverConfig& config, NodeId n) {
   if (!config.initial) return std::vector<f64>(n, 1.0 / static_cast<f64>(n));
   const auto& init = *config.initial;
@@ -44,10 +48,6 @@ std::vector<f64> make_initial(const SolverConfig& config, NodeId n) {
   for (f64& v : out) v /= sum;
   return out;
 }
-
-}  // namespace internal
-
-namespace {
 
 /// Shared pull-iteration driver over an abstract operator.
 /// `complete_deficits` selects the Markov completion (power method:
@@ -72,11 +72,11 @@ RankResult iterate(const TransitionOperator& op, const SolverConfig& config,
   }
   WallTimer timer;
 
-  const std::vector<f64> teleport = internal::make_teleport(config, n);
+  const std::vector<f64> teleport = make_teleport(config, n);
   const std::vector<f64>& deficits = op.deficits();
   const f64 alpha = config.alpha;
 
-  std::vector<f64> cur = internal::make_initial(config, n);
+  std::vector<f64> cur = make_initial(config, n);
   std::vector<f64> next(n, 0.0);
   obs::IterationTrace* const trace = config.convergence.trace;
   f64 first_residual = 0.0;
@@ -143,13 +143,15 @@ RankResult iterate(const TransitionOperator& op, const SolverConfig& config,
 
 RankResult power_solve(const StochasticMatrix& matrix,
                        const SolverConfig& config) {
-  const MatrixOperator op(matrix);
+  const StochasticMatrix transpose = matrix.transpose();
+  const ThrottledView op(matrix, transpose, identity_plan(matrix));
   return iterate(op, config, /*complete_deficits=*/true, "power");
 }
 
 RankResult jacobi_solve(const StochasticMatrix& matrix,
                         const SolverConfig& config) {
-  const MatrixOperator op(matrix);
+  const StochasticMatrix transpose = matrix.transpose();
+  const ThrottledView op(matrix, transpose, identity_plan(matrix));
   return iterate(op, config, /*complete_deficits=*/false, "jacobi");
 }
 

@@ -50,7 +50,8 @@ RankResult jacobi_solve(const StochasticMatrix& matrix,
 
 /// Operator forms: iterate an abstract TransitionOperator (e.g. a
 /// ThrottledView) instead of transposing a materialized matrix per
-/// solve. The matrix overloads above are thin wrappers over these.
+/// solve. The matrix overloads above transpose once and run these over
+/// a ThrottledView under identity_plan(matrix).
 RankResult power_solve(const TransitionOperator& op,
                        const SolverConfig& config);
 RankResult jacobi_solve(const TransitionOperator& op,

@@ -40,6 +40,8 @@ SloMonitor::SloMonitor(SloConfig config)
 }
 
 void SloMonitor::record_query(f64 seconds) {
+  SRSR_DCHECK(seconds >= 0.0, "SloMonitor::record_query: latency ", seconds,
+              " s, must be non-negative");
   std::size_t b = 0;
   while (b < bounds_.size() && seconds > bounds_[b]) ++b;
   counts_[b].fetch_add(1, std::memory_order_relaxed);
@@ -48,16 +50,6 @@ void SloMonitor::record_query(f64 seconds) {
 
 void SloMonitor::on_publish() {
   last_publish_ns_.store(steady_now_ns(), std::memory_order_relaxed);
-}
-
-void SloMonitor::on_publish(f64 oldest_age_seconds) {
-  SRSR_CHECK(std::isfinite(oldest_age_seconds) && oldest_age_seconds >= 0.0,
-             "SloMonitor::on_publish: oldest age = ", oldest_age_seconds,
-             " seconds, must be finite and non-negative");
-  const u64 now = steady_now_ns();
-  const u64 age = static_cast<u64>(oldest_age_seconds * 1e9);
-  last_publish_ns_.store(age < now ? now - age : 0,
-                         std::memory_order_relaxed);
 }
 
 SloStatus SloMonitor::evaluate() {

@@ -79,13 +79,6 @@ class SloMonitor {
   /// path (one writer).
   void on_publish();
 
-  /// Partial-recompute variant: stamps the live snapshot as
-  /// `oldest_age_seconds` old instead of brand new. The dirty-shard
-  /// publish path reports the age of the oldest shard it did NOT
-  /// re-solve, so the staleness objective covers every shard, not just
-  /// the publish clock.
-  void on_publish(f64 oldest_age_seconds);
-
   /// Evaluates the window since the previous evaluate() against the
   /// objectives, updates breach counters, and returns the new status.
   SloStatus evaluate();

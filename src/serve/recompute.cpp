@@ -1,7 +1,6 @@
 #include "serve/recompute.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <iterator>
 #include <limits>
 #include <utility>
@@ -27,15 +26,6 @@ std::vector<std::string> validated_hosts(std::vector<std::string> hosts,
   return hosts;
 }
 
-u64 steady_now_ns() {
-  return static_cast<u64>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          // srsr-analyze: allow(determinism): stamps per-shard publish
-          // epochs for staleness reporting; sigma never reads it.
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 }  // namespace
 
 RecomputePipeline::RecomputePipeline(
@@ -45,14 +35,6 @@ RecomputePipeline::RecomputePipeline(
     : model_(&model),
       hosts_(validated_hosts(std::move(hosts), model.num_sources())),
       store_(&store), config_(config) {
-  init_ns_ = steady_now_ns();
-  if (model_->sharded()) {
-    const u32 shards = model_->num_shards();
-    shard_epochs_.assign(shards, 0);
-    shard_refresh_ns_.assign(shards, init_ns_);
-    shard_dirty_last_.assign(shards, 0);
-    if (config_.shard_workers > 0) pool_.emplace(config_.shard_workers);
-  }
   // Started last, once every member the loop reads is in place.
   worker_ = std::thread([this] { worker_loop(); });
 }
@@ -63,7 +45,6 @@ RecomputePipeline::RecomputePipeline(stream::IncrementalRanker& ranker,
     : model_(nullptr), ranker_(&ranker), store_(&store), config_(config) {
   SRSR_CHECK(ranker.num_sources() > 0,
              "RecomputePipeline: dynamic ranker has no sources");
-  init_ns_ = steady_now_ns();
   worker_ = std::thread([this] { worker_loop(); });
 }
 
@@ -153,38 +134,6 @@ RecomputePipeline::Stats RecomputePipeline::stats() const {
   return out;
 }
 
-std::vector<RecomputePipeline::ShardStatus> RecomputePipeline::shard_status()
-    const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const u64 now = steady_now_ns();
-  std::vector<ShardStatus> out(shard_epochs_.size());
-  for (u32 k = 0; k < out.size(); ++k) {
-    out[k].shard = k;
-    out[k].epoch = shard_epochs_[k];
-    out[k].staleness_seconds =
-        static_cast<f64>(now - shard_refresh_ns_[k]) / 1e9;
-    out[k].dirty_last = shard_dirty_last_[k] != 0;
-  }
-  return out;
-}
-
-std::vector<u8> RecomputePipeline::dirty_mask(std::span<const f64> kappa,
-                                              bool warm) const {
-  // A dirty mask is only sound against the sigma it will warm-start
-  // from: same sizes, converged, and this worker published it (so
-  // applied_kappa_ is exactly the policy behind the live scores).
-  if (!warm || applied_kappa_.size() != kappa.size()) return {};
-  const graph::ShardPlan& plan = model_->shard_plan();
-  std::vector<u8> dirty(model_->num_shards(), 0);
-  for (std::size_t s = 0; s < kappa.size(); ++s) {
-    // Exact comparison on purpose: "the policy entry moved at all" is
-    // the invalidation signal, not a numeric closeness test.
-    if (kappa[s] != applied_kappa_[s])  // srsr-lint: allow(float-eq)
-      dirty[plan.shard_of(static_cast<NodeId>(s))] = 1;
-  }
-  return dirty;
-}
-
 void RecomputePipeline::report_into(obs::RunReport& report) const {
   const Stats s = stats();
   report.set_meta("serve.published", s.published);
@@ -199,14 +148,6 @@ void RecomputePipeline::report_into(obs::RunReport& report) const {
     report.set_meta("serve.update.last_dirty_rows", s.last_dirty_rows);
     if (!s.last_path.empty())
       report.set_meta("serve.update.last_path", s.last_path);
-  }
-  if (model_ && model_->sharded()) {
-    report.set_meta("serve.shard.count", static_cast<u64>(model_->num_shards()));
-    report.set_meta("serve.shard.last_dirty",
-                    static_cast<u64>(s.last_dirty_shards));
-    report.set_meta("serve.shard.last_updates", s.last_shard_updates);
-    report.set_meta("serve.shard.last_rounds",
-                    static_cast<u64>(s.last_rounds));
   }
 }
 
@@ -399,33 +340,12 @@ void RecomputePipeline::solve_and_publish(const Update& update) {
 
     SnapshotBuild build;
     build.policy = update.policy;
-    build.path = config_.path;
     // Warm start from the live sigma: the next fixed point is close
     // when the policy moved a little, so iterations drop sharply (the
     // ablation_warmstart bench quantifies it). The handle also keeps
     // the old epoch alive until the solve is done.
     const SnapshotPtr live = store_->current();
     if (config_.warm_start && live) build.warm_start = live->scores();
-
-    // Dirty-shard routing: diff the new policy against the one behind
-    // the live sigma and re-solve only the shards it touches (plus any
-    // the solver activates through moving halos).
-    const bool sharded =
-        model_->sharded() && config_.path == SolvePath::kLazyView;
-    rank::ShardedSolveStats shard_stats;
-    std::vector<u8> dirty;
-    if (sharded) {
-      const bool warm_from_converged = !build.warm_start.empty() &&
-                                       live && live->meta().converged;
-      dirty = dirty_mask(kappa, warm_from_converged);
-      build.dirty_shards = dirty;
-      build.shard_activation_tolerance =
-          config_.shard_activation_tolerance >= 0.0
-              ? config_.shard_activation_tolerance
-              : model_->config().convergence.tolerance;
-      if (pool_) build.shard_executor = &*pool_;
-      build.shard_stats = &shard_stats;
-    }
 
     RankSnapshot snapshot =
         make_snapshot(*model_, kappa, hosts_, build);
@@ -434,41 +354,14 @@ void RecomputePipeline::solve_and_publish(const Update& update) {
            std::to_string(snapshot.meta().iterations) + " iterations");
       return;
     }
-    const u32 dirty_count = snapshot.meta().dirty_shards;
     const u64 epoch = store_->publish(std::move(snapshot));
-    f64 oldest_age_seconds = 0.0;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.published;
       stats_.last_epoch = epoch;
       stats_.last_error.clear();
-      if (sharded) {
-        stats_.last_dirty_shards = dirty_count;
-        stats_.last_shard_updates = shard_stats.shard_updates;
-        stats_.last_rounds = shard_stats.rounds;
-        const u64 now = steady_now_ns();
-        const graph::ShardPlan& plan = model_->shard_plan();
-        u64 oldest_ns = now;
-        for (u32 k = 0; k < shard_epochs_.size(); ++k) {
-          shard_dirty_last_[k] = dirty.empty() ? 1 : dirty[k];
-          // Empty shards have no data to go stale; refresh them along
-          // with every shard the solve re-iterated.
-          if (shard_stats.updated[k] != 0 || plan.shard_size(k) == 0) {
-            shard_epochs_[k] = epoch;
-            shard_refresh_ns_[k] = now;
-          }
-          oldest_ns = std::min(oldest_ns, shard_refresh_ns_[k]);
-        }
-        oldest_age_seconds = static_cast<f64>(now - oldest_ns) / 1e9;
-      }
     }
-    applied_kappa_ = std::move(kappa);
-    if (config_.slo) {
-      if (sharded)
-        config_.slo->on_publish(oldest_age_seconds);
-      else
-        config_.slo->on_publish();
-    }
+    if (config_.slo) config_.slo->on_publish();
     if (config_.drift) {
       const DriftReport drift = config_.drift->on_publish(*store_->current());
       if (drift.anomalous)
@@ -479,18 +372,6 @@ void RecomputePipeline::solve_and_publish(const Update& update) {
       auto& reg = obs::MetricsRegistry::instance();
       reg.counter("srsr.serve.recompute.published").add();
       reg.gauge("srsr.serve.snapshot.epoch").set(static_cast<f64>(epoch));
-      if (sharded) {
-        reg.gauge("srsr.serve.shard.count")
-            .set(static_cast<f64>(model_->num_shards()));
-        reg.gauge("srsr.serve.shard.dirty")
-            .set(static_cast<f64>(dirty_count));
-        reg.gauge("srsr.serve.shard.updates")
-            .set(static_cast<f64>(shard_stats.shard_updates));
-        reg.gauge("srsr.serve.shard.rounds")
-            .set(static_cast<f64>(shard_stats.rounds));
-        reg.gauge("srsr.serve.shard.oldest_staleness_seconds")
-            .set(oldest_age_seconds);
-      }
     }
   } catch (const std::exception& e) {
     // Bad kappa vectors and contract violations surface here; the old

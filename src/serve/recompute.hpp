@@ -37,8 +37,6 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <optional>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,7 +44,6 @@
 #include "obs/report.hpp"
 #include "obs/span.hpp"
 #include "serve/monitor.hpp"
-#include "serve/shard_exec.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/store.hpp"
 #include "stream/edge_stream.hpp"
@@ -63,19 +60,11 @@ struct RecomputeConfig {
   /// Treat a solve that hits max_iterations without converging as a
   /// failure (no publish) instead of serving a half-converged vector.
   bool require_convergence = true;
-  SolvePath path = SolvePath::kLazyView;
   /// Optional watchdogs (must outlive the pipeline). `slo` is stamped
   /// on every publish; `drift` sees every published snapshot and
   /// judges it against its predecessor.
   SloMonitor* slo = nullptr;
   DriftMonitor* drift = nullptr;
-  /// ShardWorkerPool threads for block-Jacobi rounds (sharded models
-  /// only; 0 = shard updates run inline on the recompute worker).
-  u32 shard_workers = 0;
-  /// Halo-activation tolerance for dirty-shard solves; negative = use
-  /// the model's convergence tolerance (exact propagation at 0.0 costs
-  /// the most work — see rank/sharded_solve.hpp).
-  f64 shard_activation_tolerance = -1.0;
 };
 
 class RecomputePipeline {
@@ -89,7 +78,7 @@ class RecomputePipeline {
   /// Dynamic mode: the pipeline becomes the single writer of `ranker`
   /// (and its DynamicSourceGraph). Both must outlive the pipeline;
   /// hosts are read from the ranker's graph at every publish (the host
-  /// set can grow). Sharded options in `config` are ignored.
+  /// set can grow).
   RecomputePipeline(stream::IncrementalRanker& ranker, SnapshotStore& store,
                     RecomputeConfig config = {});
   ~RecomputePipeline();
@@ -126,13 +115,6 @@ class RecomputePipeline {
     u64 coalesced = 0;
     u64 last_epoch = 0;        // 0 = nothing published yet
     std::string last_error;    // empty = no failure so far
-    /// Sharded models only: the last publish's solve footprint. A
-    /// kappa change contained in a few shards shows dirty counts and
-    /// update totals far below num_shards x rounds — the O(changed
-    /// shards) contract of the dirty-shard path.
-    u32 last_dirty_shards = 0;
-    u64 last_shard_updates = 0;
-    u32 last_rounds = 0;
     /// Updates waiting in the queue right now (sampled by stats()).
     u64 queue_depth = 0;
     /// Dynamic mode: updates folded into a shared publish (the drained
@@ -146,16 +128,6 @@ class RecomputePipeline {
     std::string last_path;  // "delta" | "full" | "fallback"; empty = static
   };
   Stats stats() const;
-
-  /// Per-shard freshness (sharded models only; empty otherwise).
-  struct ShardStatus {
-    u32 shard = 0;
-    u64 epoch = 0;  // last epoch whose solve re-iterated this shard
-    f64 staleness_seconds = 0.0;  // age of that refresh (or of the
-                                  // pipeline, before any publish)
-    bool dirty_last = false;      // dirty entering the last solve
-  };
-  std::vector<ShardStatus> shard_status() const;
 
   /// Writes the pipeline outcome into a run report ("serve.published",
   /// "serve.failed", "serve.coalesced", "serve.last_epoch", and
@@ -185,12 +157,6 @@ class RecomputePipeline {
   /// Dynamic worker: applies a drained run of updates in order through
   /// the ranker, then publishes once.
   void apply_and_publish(const std::vector<Update>& updates);
-  /// Diffs `kappa` against the policy of the live sigma and returns a
-  /// per-shard dirty mask, or an empty vector when a full solve is
-  /// required (first publish, cold start, size change). Worker only.
-  std::vector<u8> dirty_mask(std::span<const f64> kappa,
-                             bool warm) const;
-
   const core::SpamResilientSourceRank* model_;  // null in dynamic mode
   stream::IncrementalRanker* ranker_ = nullptr;  // null in static mode
   std::vector<std::string> hosts_;
@@ -199,21 +165,7 @@ class RecomputePipeline {
   /// Dynamic mode, worker only: policy label of the last kappa-bearing
   /// update, stamped into every publish's meta.
   std::string applied_policy_ = "uniform_zero";
-  /// Engaged for sharded models with shard_workers > 0; handed to
-  /// every sharded solve.
-  std::optional<ShardWorkerPool> pool_;
-  /// The kappa whose sigma is live (worker thread only; the dirty
-  /// mask of the next solve is a diff against it).
-  std::vector<f64> applied_kappa_;
-  u64 init_ns_ = 0;  // pipeline construction, steady clock
-
   mutable std::mutex mutex_;
-  /// Per-shard freshness, advanced on publish for shards the solve
-  /// re-iterated (guarded by mutex_; sized num_shards for sharded
-  /// models, empty otherwise).
-  std::vector<u64> shard_epochs_;
-  std::vector<u64> shard_refresh_ns_;
-  std::vector<u8> shard_dirty_last_;
   std::condition_variable wake_;   // worker: queue non-empty or stopping
   std::condition_variable idle_;   // drain(): queue empty and not busy
   std::deque<Update> queue_;

@@ -88,38 +88,8 @@ RankSnapshot make_snapshot(const core::SpamResilientSourceRank& model,
   obs::Span span("serve.snapshot_build");
   obs::StageTimer stage("serve.snapshot_build");
   const bool warm = !build.warm_start.empty();
-  const bool sharded =
-      model.sharded() && build.path == SolvePath::kLazyView;
-  rank::RankResult result;
-  rank::ShardedSolveStats shard_stats;
-  u32 dirty_count = 0;
-  if (sharded) {
-    core::ShardedRankOptions options;
-    options.dirty_shards = build.dirty_shards;
-    options.activation_tolerance = build.shard_activation_tolerance;
-    options.executor = build.shard_executor;
-    options.stats = &shard_stats;
-    result = model.rank_sharded(kappa, build.warm_start, options);
-    if (build.dirty_shards.empty()) {
-      dirty_count = model.num_shards();
-    } else {
-      for (const u8 flag : build.dirty_shards) dirty_count += flag != 0;
-    }
-  } else if (build.path == SolvePath::kLazyView) {
-    result = warm ? model.rank(kappa, build.warm_start) : model.rank(kappa);
-  } else {
-    // The materialized reference route: identical math to the figure
-    // harnesses' throttled_matrix() cross-checks, bitwise.
-    const rank::StochasticMatrix throttled = model.throttled_matrix(kappa);
-    rank::SolverConfig sc;
-    sc.alpha = model.config().alpha;
-    sc.convergence = model.config().convergence;
-    if (warm)
-      sc.initial.emplace(build.warm_start.begin(), build.warm_start.end());
-    result = model.config().solver == core::SolverKind::kPower
-                 ? rank::power_solve(throttled, sc)
-                 : rank::jacobi_solve(throttled, sc);
-  }
+  rank::RankResult result =
+      warm ? model.rank(kappa, build.warm_start) : model.rank(kappa);
 
   SnapshotMeta meta;
   meta.kappa_policy = build.policy;
@@ -131,12 +101,6 @@ RankSnapshot make_snapshot(const core::SpamResilientSourceRank& model,
   meta.solve_seconds = result.seconds;
   meta.kappa_mass = std::accumulate(kappa.begin(), kappa.end(), 0.0);
   meta.warm_started = warm;
-  if (sharded) {
-    meta.total_shards = model.num_shards();
-    meta.dirty_shards = dirty_count;
-    meta.shard_updates = shard_stats.shard_updates;
-    if (build.shard_stats) *build.shard_stats = std::move(shard_stats);
-  }
   return RankSnapshot(std::move(result.scores), std::move(hosts),
                       std::move(meta));
 }

@@ -49,12 +49,6 @@ struct SnapshotMeta {
   /// Total throttle mass sum(kappa) — a cheap one-number policy summary.
   f64 kappa_mass = 0.0;
   bool warm_started = false;
-  /// Sharded-solve provenance (0 shards = monolithic solve). A partial
-  /// recompute shows up as dirty_shards < total_shards with
-  /// shard_updates well below rounds x total_shards.
-  u32 total_shards = 0;
-  u32 dirty_shards = 0;   // shards dirty entering the solve
-  u64 shard_updates = 0;  // per-shard inner solves executed
 };
 
 class SnapshotStore;
@@ -109,30 +103,12 @@ class RankSnapshot {
 
 using SnapshotPtr = std::shared_ptr<const RankSnapshot>;
 
-/// Which operator route solves the snapshot's sigma.
-enum class SolvePath {
-  kLazyView,      // model.rank(): O(V) ThrottledView plan (the default)
-  kMaterialized,  // explicit T'' matrix — bitwise-reference path for
-                  // cross-checking against the figure harnesses
-};
-
 struct SnapshotBuild {
   std::string policy = "custom";
   /// Warm-start vector (normally the live snapshot's sigma); empty =
   /// cold start. Cold builds are bitwise-reproducible against a direct
   /// model.rank() call with the same kappa.
   std::span<const f64> warm_start = {};
-  SolvePath path = SolvePath::kLazyView;
-  /// Sharded models on the kLazyView path only (ignored otherwise):
-  /// forwarded into core::ShardedRankOptions. A non-empty dirty mask
-  /// is only sound together with a warm start taken from the sigma the
-  /// mask was diffed against — the RecomputePipeline owns that pairing.
-  std::span<const u8> dirty_shards = {};
-  f64 shard_activation_tolerance = 0.0;
-  rank::ShardExecutor* shard_executor = nullptr;
-  /// Optional out-param with the full solve accounting (the meta only
-  /// keeps the headline numbers).
-  rank::ShardedSolveStats* shard_stats = nullptr;
 };
 
 /// Solves sigma for `kappa` and bundles it into an (unpublished)

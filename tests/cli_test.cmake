@@ -242,5 +242,20 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "unknown command should fail")
 endif()
 
+# Options a subcommand does not read are rejected by name: a removed
+# flag (--shards) and a typo (--alhpa) must not silently fall back to
+# the defaults.
+foreach(bad "--shards;4" "--alhpa;0.5")
+  execute_process(COMMAND "${CLI}" rank --in "${DIR}" ${bad}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  list(GET bad 0 flag)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "rank ${bad} should fail")
+  endif()
+  if(NOT err MATCHES "unknown option ${flag}")
+    message(FATAL_ERROR "rank ${bad} should report the unknown option:\n${err}")
+  endif()
+endforeach()
+
 file(REMOVE_RECURSE "${DIR}")
 message(STATUS "cli_test OK")

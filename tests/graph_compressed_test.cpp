@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "graph/builder.hpp"
@@ -118,6 +119,11 @@ struct RoundTripCase {
   f64 p;
   NodeId n;
 };
+
+// Print the case by name: gtest's default byte dump would put the
+// address of `name` into the listed test name, which then differs on
+// every build.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.name; }
 
 class CompressedRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 

@@ -1,8 +1,7 @@
 // Tests for the TransitionOperator layer (rank/operator.hpp):
-// MatrixOperator must reproduce the matrix it wraps, ThrottledView must
-// reproduce the per-row affine reweighting it encodes, and concurrent
-// reads of a shared view must be race-free (this suite runs under the
-// tsan preset).
+// ThrottledView must reproduce the per-row affine reweighting it
+// encodes — under identity_plan(B), B itself — and concurrent reads of a
+// shared view must be race-free (this suite runs under the tsan preset).
 #include "rank/operator.hpp"
 
 #include <gtest/gtest.h>
@@ -31,48 +30,11 @@ f64 plan_entry(const StochasticMatrix& base, const RowAffinePlan& plan,
   return plan.off_scale[r] * base.weight(r, c);
 }
 
-TEST(MatrixOperator, PullMatchesLeftMultiply) {
-  const auto m = sample();
-  const MatrixOperator op(m);
-  EXPECT_EQ(op.num_rows(), m.num_rows());
-  EXPECT_EQ(op.num_entries(), m.num_entries());
-  const std::vector<f64> x{0.5, 0.3, 0.2};
-  std::vector<f64> want(3, 0.0);
-  m.left_multiply(x, want);
-  std::vector<f64> got(3, 0.0);
-  op.pull(x, got);
-  for (NodeId v = 0; v < 3; ++v) EXPECT_NEAR(got[v], want[v], 1e-15);
-}
-
-TEST(MatrixOperator, DiagonalAndOffDiagonalSplitThePull) {
-  const auto m = sample();
-  const MatrixOperator op(m);
-  const std::vector<f64> x{0.5, 0.3, 0.2};
-  std::vector<f64> full(3, 0.0);
-  op.pull(x, full);
-  for (NodeId v = 0; v < 3; ++v) {
-    EXPECT_NEAR(op.pull_off_diagonal(v, x) + x[v] * op.diagonal(v), full[v],
-                1e-15);
-    EXPECT_DOUBLE_EQ(op.diagonal(v), m.weight(v, v));
-  }
-}
-
-TEST(MatrixOperator, RowReturnsDirectSpans) {
-  const auto m = sample();
-  const MatrixOperator op(m);
-  std::vector<NodeId> cols_scratch;
-  std::vector<f64> weights_scratch;
-  const OperatorRow row = op.row(0, cols_scratch, weights_scratch);
-  ASSERT_EQ(row.cols.size(), 3u);
-  EXPECT_EQ(row.cols.data(), m.row_cols(0).data());  // no copy
-  EXPECT_TRUE(cols_scratch.empty());
-}
-
-TEST(MatrixOperator, DeficitsMatchMatrix) {
-  const StochasticMatrix m({0, 1, 1}, {1}, {0.4});
-  const MatrixOperator op(m);
-  EXPECT_NEAR(op.deficits()[0], 0.6, 1e-15);
-  EXPECT_NEAR(op.deficits()[1], 1.0, 1e-15);
+// Row 0: self 0.2 + out-edges; row 1: no self entry and a 0.3
+// deficit; row 2: pure self-loop; row 3: dangling.
+StochasticMatrix identity_sample() {
+  return StochasticMatrix({0, 3, 5, 6, 6}, {0, 1, 2, 0, 2, 2},
+                          {0.2, 0.5, 0.3, 0.4, 0.3, 1.0});
 }
 
 RowAffinePlan half_plan() {
@@ -86,20 +48,51 @@ RowAffinePlan half_plan() {
 }
 
 TEST(ThrottledView, PullMatchesDenseReference) {
-  const auto base = sample();
-  const auto t = base.transpose();
-  const ThrottledView view(base, t, half_plan());
-  const std::vector<f64> x{0.5, 0.3, 0.2};
-  std::vector<f64> got(3, 0.0);
-  view.pull(x, got);
-  for (NodeId v = 0; v < 3; ++v) {
-    f64 want = 0.0;
-    for (NodeId u = 0; u < 3; ++u)
-      want += x[u] * plan_entry(base, view.plan(), u, v);
-    EXPECT_NEAR(got[v], want, 1e-15);
-    EXPECT_NEAR(view.pull_off_diagonal(v, x) + x[v] * view.diagonal(v),
-                got[v], 1e-15);
+  // The throttle-shaped plan, and the identity plan over a matrix with
+  // a self-less row and a dangling row, where the view must reproduce
+  // the matrix itself: pull == left_multiply, deficits == row_deficits.
+  const auto throttled_base = sample();
+  const auto identity_base = identity_sample();
+  const struct {
+    const StochasticMatrix* base;
+    RowAffinePlan plan;
+    std::vector<f64> x;
+  } inputs[] = {
+      {&throttled_base, half_plan(), {0.5, 0.3, 0.2}},
+      {&identity_base, identity_plan(identity_base), {0.4, 0.3, 0.2, 0.1}},
+  };
+  for (const auto& in : inputs) {
+    const StochasticMatrix& base = *in.base;
+    const NodeId n = base.num_rows();
+    const auto t = base.transpose();
+    const ThrottledView view(base, t, in.plan);
+    EXPECT_EQ(view.num_rows(), n);
+    EXPECT_EQ(view.num_entries(), base.num_entries());
+    EXPECT_EQ(view.deficits(), in.plan.deficit);
+    std::vector<f64> got(n, 0.0);
+    view.pull(in.x, got);
+    for (NodeId v = 0; v < n; ++v) {
+      f64 want = 0.0;
+      for (NodeId u = 0; u < n; ++u)
+        want += in.x[u] * plan_entry(base, view.plan(), u, v);
+      EXPECT_NEAR(got[v], want, 1e-15);
+      EXPECT_NEAR(view.pull_off_diagonal(v, in.x) + in.x[v] * view.diagonal(v),
+                  got[v], 1e-15);
+    }
+    if (in.base != &identity_base) continue;
+    std::vector<f64> want(n, 0.0);
+    base.left_multiply(in.x, want);
+    for (NodeId v = 0; v < n; ++v) {
+      EXPECT_NEAR(got[v], want[v], 1e-15);
+      EXPECT_DOUBLE_EQ(view.diagonal(v), base.weight(v, v));
+    }
+    EXPECT_EQ(view.deficits(), base.row_deficits());
   }
+  const std::vector<f64> deficits = identity_plan(identity_base).deficit;
+  EXPECT_NEAR(deficits[0], 0.0, 1e-15);
+  EXPECT_NEAR(deficits[1], 0.3, 1e-15);
+  EXPECT_NEAR(deficits[2], 0.0, 1e-15);
+  EXPECT_NEAR(deficits[3], 1.0, 1e-15);
 }
 
 TEST(ThrottledView, RowOverridesDiagonalInPlace) {
@@ -114,6 +107,20 @@ TEST(ThrottledView, RowOverridesDiagonalInPlace) {
   EXPECT_DOUBLE_EQ(row.weights[0], 0.5);           // overridden diagonal
   EXPECT_DOUBLE_EQ(row.weights[1], 0.5 * 0.625);   // rescaled
   EXPECT_DOUBLE_EQ(row.weights[2], 0.3 * 0.625);
+
+  // Under the identity plan every row is the base row, columns served
+  // straight from the base CSR (no splice, even on the self-less and
+  // dangling rows).
+  const auto ibase = identity_sample();
+  const auto it = ibase.transpose();
+  const ThrottledView identity(ibase, it, identity_plan(ibase));
+  for (NodeId u = 0; u < ibase.num_rows(); ++u) {
+    const OperatorRow irow = identity.row(u, cols_scratch, weights_scratch);
+    EXPECT_EQ(irow.cols.data(), ibase.row_cols(u).data());
+    ASSERT_EQ(irow.weights.size(), ibase.row_weights(u).size());
+    for (std::size_t i = 0; i < irow.weights.size(); ++i)
+      EXPECT_EQ(irow.weights[i], ibase.row_weights(u)[i]);
+  }
 }
 
 TEST(ThrottledView, RowSplicesMissingDiagonalKeepingColumnsSorted) {
@@ -140,11 +147,7 @@ TEST(ThrottledView, ResetPlanSwapsConfigurations) {
   const auto t = base.transpose();
   ThrottledView view(base, t, half_plan());
   EXPECT_DOUBLE_EQ(view.diagonal(0), 0.5);
-  RowAffinePlan identity;
-  identity.off_scale = {1.0, 1.0, 1.0};
-  identity.diagonal = {0.2, 1.0, 1.0};
-  identity.deficit = {0.0, 0.0, 0.0};
-  view.reset_plan(std::move(identity));
+  view.reset_plan(identity_plan(base));
   EXPECT_DOUBLE_EQ(view.diagonal(0), 0.2);
   const std::vector<f64> x{0.5, 0.3, 0.2};
   std::vector<f64> via_view(3, 0.0);
@@ -175,6 +178,13 @@ TEST(ThrottledView, SolversAcceptTheOperatorForm) {
     EXPECT_NEAR(power.scores[v], gs.scores[v], 1e-8);
     EXPECT_NEAR(power.scores[v], push.scores[v], 1e-8);
   }
+
+  // The matrix overloads are the operator form under identity_plan.
+  const ThrottledView identity(base, t, identity_plan(base));
+  EXPECT_EQ(power_solve(base, sc).scores, power_solve(identity, sc).scores);
+  EXPECT_EQ(jacobi_solve(base, sc).scores, jacobi_solve(identity, sc).scores);
+  EXPECT_EQ(gauss_seidel_solve(base, sc).scores,
+            gauss_seidel_solve(identity, sc).scores);
 }
 
 // tsan target: a shared view must serve concurrent pulls without

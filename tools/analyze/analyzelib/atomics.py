@@ -15,7 +15,7 @@ Every atomic operation in src/ must say what it means:
 
 The pairing check is what caught-by-construction looks like for the
 RCU publication edges the serve layer leans on (SnapshotStore head,
-span-ring cursors, the ShardWorkerPool claim word): moving one side
+span-ring cursors): moving one side
 without the other now fails the build instead of becoming a silent
 memory-model bug.
 """

@@ -1,11 +1,11 @@
 """Pass 3 — determinism taint.
 
 The sigma the serve layer publishes must be bit-reproducible: the
-reproduced fig2–fig4 profit curves, the K=1 sharded-vs-monolithic
-parity gate, and the warm-start coalescing tests all compare exact
+reproduced fig2–fig4 profit curves, the snapshot-vs-model.rank()
+parity tests, and the warm-start coalescing tests all compare exact
 floating-point sequences. This pass walks the lexical call graph from
-the sigma-publishing entry points (`rank`, `rank_sharded`, every
-`RecomputePipeline` method) and rejects, anywhere on the tainted path:
+the sigma-publishing entry points (`rank`, every `RecomputePipeline`
+method) and rejects, anywhere on the tainted path:
 
   * iteration over unordered containers (order is hash-seed dependent);
   * `std::reduce` / `std::transform_reduce` (unspecified operand order);
@@ -31,7 +31,7 @@ from analyzelib.source import Context, FuncDef, PassResult, Violation
 
 PASS_NAME = "determinism"
 
-ENTRY_SIMPLE = {"rank", "rank_sharded"}
+ENTRY_SIMPLE = {"rank"}
 ENTRY_QUAL_PREFIX = ("RecomputePipeline::", "IncrementalRanker::")
 
 # Modules / files whose function bodies are metadata-only: taint does

@@ -5,7 +5,7 @@ The solver kernels live inside `// srsr:hot <label>` ...
 allocator is flagged: `new`, owning-container construction,
 growth-capable `push_back`/`emplace_back`/`insert`/`resize`/`reserve`,
 `make_unique`/`make_shared`, and std::string temporaries. The fenced
-kernels are the per-iteration pull/push loops and `exchange_halo` —
+kernels are the per-iteration pull/push loops and row synthesis —
 the layers whose zero-steady-state-allocation property the
 micro_kernels bench measures; this pass keeps the property true
 between bench runs.

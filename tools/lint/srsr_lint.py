@@ -21,20 +21,12 @@ Rules (each can be waived per line with `// srsr-lint: allow(<rule>)`):
   catch-all  `catch (...)` that swallows — a bare catch-all may only
              rethrow; silently eating ContractViolation would defeat
              the whole contract layer.
-  thread     raw std::thread / std::jthread in src/ (outside src/serve
-             and src/util) or tools/ — concurrency lives behind
-             util/parallel (data parallel) and serve/recompute (the
-             background worker); ad-hoc threads elsewhere escape the
-             tsan test matrix. bench/ and examples/ may spawn load-
+  thread     raw std::thread / std::jthread in src/ (outside
+             src/serve/recompute.* and src/util) or tools/ — concurrency
+             lives behind util/parallel (data parallel) and
+             serve/recompute (the background worker); ad-hoc threads
+             elsewhere escape the tsan test matrix. bench/ and examples/ may spawn load-
              generator threads freely.
-  shard-boundary  indexing a raw halo/boundary buffer (`halo_ids[`,
-             `halo[`, `boundary[`, `.slots_`, `.halo_owner_` …) outside
-             the sharding layer proper (src/graph/partition.*,
-             src/rank/sharded.*, src/rank/sharded_solve.cpp,
-             src/serve/shard_exec.*) — every other layer must go
-             through ShardPlan / ShardedMatrix::gather/scatter/
-             exchange_halo / ShardedOperator::pull_shard, so the halo
-             slot encoding can change without a cross-layer hunt.
   metric-name  a string-literal metric registration
              (.counter("…") / .gauge("…") / .histogram("…")) whose name
              does not start with "srsr." — the registry enforces the
@@ -71,19 +63,6 @@ RE_THREAD = re.compile(r"std::(?:jthread|thread)\b")
 # very literal being checked).
 RE_METRIC_NAME = re.compile(
     r"\.(?:counter|gauge|histogram)\s*\(\s*\"(?!srsr\.)")
-# Raw halo/boundary buffer access: subscripting an identifier that names
-# the sharding layer's internal slot arrays, or touching its private
-# members. Only the files listed in SHARD_BOUNDARY_OK may do this.
-RE_SHARD_BOUNDARY = re.compile(
-    r"\b(?:halo|halo_ids|halo_ref|fresh_halo|boundary_slots)\s*\[|"
-    r"\.(?:slots_|weights_|halo_owner_shard_|halo_owner_local_)\b")
-SHARD_BOUNDARY_OK = (
-    "src/graph/partition.",
-    "src/rank/sharded.",
-    "src/rank/sharded_solve.cpp",
-    "src/serve/shard_exec.",
-)
-
 SRC_EXTS = (".cpp", ".hpp")
 
 
@@ -152,10 +131,9 @@ class Linter:
         is_logger = rel in ("src/util/log.cpp", "src/util/log.hpp")
         thread_banned = (
             in_src
-            and not rel.startswith("src/serve/")
+            and not rel.startswith("src/serve/recompute.")
             and not rel.startswith("src/util/")
         ) or rel.startswith("tools/")
-        shard_boundary_banned = not rel.startswith(SHARD_BOUNDARY_OK)
         with open(path, encoding="utf-8") as f:
             raw_lines = f.read().splitlines()
 
@@ -179,16 +157,9 @@ class Linter:
             if thread_banned and RE_THREAD.search(line) \
                     and not self.waived(raw, "thread"):
                 self.fail(path, lineno, "thread",
-                          "raw std::thread outside src/serve and "
+                          "raw std::thread outside serve/recompute and "
                           "src/util — route work through util/parallel "
                           "or serve/recompute")
-
-            if shard_boundary_banned and RE_SHARD_BOUNDARY.search(line) \
-                    and not self.waived(raw, "shard-boundary"):
-                self.fail(path, lineno, "shard-boundary",
-                          "raw halo/boundary indexing outside the "
-                          "sharding layer — go through ShardPlan / "
-                          "ShardedMatrix / ShardedOperator accessors")
 
             if RE_METRIC_NAME.search(raw) \
                     and not self.waived(raw, "metric-name"):

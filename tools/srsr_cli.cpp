@@ -5,14 +5,14 @@
 //             Write a synthetic crawl as pages.txt / edges.txt /
 //             labels.txt (+ terms.txt with --terms).
 //   rank      --in DIR [--algo pagerank|sourcerank|srsr] [--top K]
-//             [--seeds FILE] [--alpha A] [--trace FILE] [--trace-out FILE]
+//             [--alpha A] [--topk K] [--trace FILE] [--trace-out FILE]
 //             Rank a crawl directory and print the top-K sources.
 //             --trace additionally records per-stage wall times and the
 //             per-iteration residual series, and writes one RunReport
 //             JSON document (obs/report.hpp schema) to FILE.
 //             --trace-out enables span tracing and writes the run's span
 //             tree as Chrome/Perfetto trace-event JSON to FILE.
-//   audit     --in DIR --seeds FILE [--topk K]
+//   audit     --in DIR [--topk K]
 //             Spam-proximity audit: print the K most spam-proximate
 //             sources with their throttle assignment.
 //   attack    --in DIR --target-source S --pages N [--cross C]
@@ -23,7 +23,8 @@
 //             print the run summary plus the metrics registry snapshot
 //             (--json emits the snapshot as JSON, --prometheus as
 //             Prometheus text exposition format instead).
-//   sweep     --in DIR [--configs N] [--alpha A] [--mode absorb|discard]
+//   sweep     --in DIR [--configs N] [--alpha A] [--topk K]
+//             [--mode absorb|discard] [--trace-out FILE]
 //             Build the model ONCE and rank N kappa configurations of
 //             increasing throttle strength through the lazy
 //             ThrottledView (O(V) plan per configuration over the
@@ -31,7 +32,7 @@
 //             solve wall times. With labels.txt the ramp throttles the
 //             spam-proximate sources; without it, every source.
 //   serve     --in DIR [--alpha A] [--topk K] [--mode absorb|discard]
-//             [--dynamic]
+//             [--dynamic] [--metrics]
 //             Online ranking service: load the crawl, publish a
 //             baseline (kappa = 0) and a throttled snapshot, then
 //             answer line-oriented requests from stdin until EOF/quit
@@ -54,6 +55,9 @@
 //             recompute worker (push-delta with cold fallback), and
 //             reports the publish path and push count.
 //
+// Every subcommand rejects options it does not read ("unknown option
+// --X", exit 1), so a typo never silently falls back to a default.
+//
 // The crawl directory format is the library's text interchange:
 //   pages.txt   "<page-id> <url>" per line
 //   edges.txt   "<src> <dst>" per line
@@ -64,8 +68,10 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/srsr.hpp"
@@ -97,14 +103,17 @@ namespace {
 
 using namespace srsr;
 
-/// Minimal --flag/value argument parser.
+/// Minimal --flag/value argument parser. `known` lists the options the
+/// subcommand reads; any other --key is rejected.
 class Args {
  public:
-  Args(int argc, char** argv) {
+  Args(int argc, char** argv, std::span<const std::string_view> known) {
     for (int i = 2; i < argc; ++i) {
       std::string key = argv[i];
       check(starts_with(key, "--"), "unexpected argument '" + key + "'");
       key = key.substr(2);
+      check(std::find(known.begin(), known.end(), key) != known.end(),
+            "unknown option --" + key);
       if (i + 1 < argc && !starts_with(argv[i + 1], "--")) {
         values_[key] = argv[++i];
       } else {
@@ -139,20 +148,6 @@ class Args {
  private:
   std::map<std::string, std::string> values_;
 };
-
-/// Applies --shards K / --partition hash|scc to a model config.
-/// Omitting --shards keeps the monolithic solve path.
-void apply_sharding(const Args& args, core::SrsrConfig& cfg) {
-  const u32 shards = static_cast<u32>(args.get_u64("shards", 0));
-  check(shards > 0 || !args.has("partition"), "--partition needs --shards");
-  const std::string partition = args.get("partition", "hash");
-  check(partition == "hash" || partition == "scc",
-        "--partition must be hash or scc");
-  cfg.sharding.shards = shards;
-  cfg.sharding.partition = partition == "scc"
-                               ? graph::PartitionMode::kSccAware
-                               : graph::PartitionMode::kHostHash;
-}
 
 /// Loads a crawl directory into a WebCorpus (+ blocklisted source ids).
 struct LoadedCrawl {
@@ -256,7 +251,6 @@ int cmd_rank(const Args& args) {
     core::SrsrConfig cfg;
     cfg.alpha = alpha;
     cfg.throttle_mode = core::ThrottleMode::kTeleportDiscard;
-    apply_sharding(args, cfg);
     if (tracing) cfg.convergence.trace = &trace;
     obs::StageTimer build_stage("cli.build_model", &report);
     const core::SpamResilientSourceRank model(corpus.pages, map, cfg);
@@ -328,7 +322,6 @@ int cmd_stats(const Args& args) {
   core::SrsrConfig cfg;
   cfg.alpha = alpha;
   cfg.throttle_mode = core::ThrottleMode::kTeleportDiscard;
-  apply_sharding(args, cfg);
   obs::IterationTrace trace;
   cfg.convergence.trace = &trace;
   const core::SpamResilientSourceRank model(corpus.pages, map, cfg);
@@ -394,7 +387,6 @@ int cmd_sweep(const Args& args) {
   cfg.throttle_mode = mode_name == "absorb"
                           ? core::ThrottleMode::kSelfAbsorb
                           : core::ThrottleMode::kTeleportDiscard;
-  apply_sharding(args, cfg);
 
   WallTimer build_timer;
   const core::SpamResilientSourceRank model(corpus.pages, map, cfg);
@@ -460,14 +452,11 @@ int cmd_serve(const Args& args) {
   const auto& corpus = crawl.corpus;
   const core::SourceMap map(corpus.page_source);
   const bool dynamic = args.has("dynamic");
-  check(!dynamic || !args.has("shards"),
-        "--dynamic is incompatible with --shards");
   core::SrsrConfig cfg;
   cfg.alpha = alpha;
   cfg.throttle_mode = mode_name == "absorb"
                           ? core::ThrottleMode::kSelfAbsorb
                           : core::ThrottleMode::kTeleportDiscard;
-  apply_sharding(args, cfg);
 
   // Static mode serves through a SpamResilientSourceRank model; dynamic
   // mode through the stream subsystem (graph + always-warm ranker +
@@ -533,11 +522,6 @@ int cmd_serve(const Args& args) {
   serve::RecomputeConfig recompute_cfg;
   recompute_cfg.slo = &slo;
   recompute_cfg.drift = &drift;
-  recompute_cfg.shard_workers =
-      static_cast<u32>(args.get_u64("shard-workers", 0));
-  check(recompute_cfg.shard_workers == 0 ||
-            (!dynamic && model->sharded()),
-        "--shard-workers needs --shards");
   std::optional<serve::RecomputePipeline> pipeline;
   if (dynamic)
     pipeline.emplace(*ranker, store, recompute_cfg);
@@ -685,19 +669,6 @@ int cmd_serve(const Args& args) {
                   << ", last_dirty_rows " << st.last_dirty_rows
                   << ", mutations " << st.mutations_applied << '\n';
       }
-      if (!dynamic && model->sharded()) {
-        const auto st = pipeline->stats();
-        std::cout << "shards " << model->num_shards() << ", partition "
-                  << graph::partition_mode_name(model->shard_plan().mode())
-                  << ", last_dirty " << st.last_dirty_shards
-                  << ", last_updates " << st.last_shard_updates
-                  << ", last_rounds " << st.last_rounds << '\n';
-        for (const auto& sh : pipeline->shard_status())
-          std::cout << "shard " << sh.shard << " epoch " << sh.epoch
-                    << " staleness "
-                    << TextTable::fixed(sh.staleness_seconds, 1)
-                    << "s dirty " << (sh.dirty_last ? 1 : 0) << '\n';
-      }
     } else if (req == "metrics") {
       // Prometheus text exposition of the whole registry (empty unless
       // --metrics enabled recording).
@@ -724,10 +695,6 @@ int cmd_serve(const Args& args) {
                   << (st.last_path.empty() ? "none" : st.last_path)
                   << ", last_pushes " << st.last_pushes
                   << ", last_dirty_rows " << st.last_dirty_rows;
-      if (!dynamic && model->sharded())
-        std::cout << ", shards " << model->num_shards() << ", dirty "
-                  << st.last_dirty_shards << ", shard_updates "
-                  << st.last_shard_updates;
       std::cout << '\n';
     } else if (req == "update") {
       if (!dynamic) {
@@ -885,17 +852,13 @@ void usage() {
       "commands:\n"
       "  generate --out DIR [--sources N] [--spam N] [--seed S] [--terms]\n"
       "  rank     --in DIR [--algo pagerank|sourcerank|srsr] [--top K]\n"
-      "           [--alpha A] [--topk K] [--shards K] [--partition hash|scc]\n"
-      "           [--trace FILE] [--trace-out FILE]\n"
+      "           [--alpha A] [--topk K] [--trace FILE] [--trace-out FILE]\n"
       "  audit    --in DIR [--topk K]     (needs labels.txt)\n"
       "  attack   --in DIR [--target-source S] [--pages N] [--cross C]\n"
-      "  stats    --in DIR [--alpha A] [--topk K] [--shards K]\n"
-      "           [--partition hash|scc] [--json] [--prometheus]\n"
+      "  stats    --in DIR [--alpha A] [--topk K] [--json] [--prometheus]\n"
       "  sweep    --in DIR [--configs N] [--alpha A] [--topk K]\n"
-      "           [--mode absorb|discard] [--shards K]\n"
-      "           [--partition hash|scc] [--trace-out FILE]\n"
+      "           [--mode absorb|discard] [--trace-out FILE]\n"
       "  serve    --in DIR [--alpha A] [--topk K] [--mode absorb|discard]\n"
-      "           [--shards K] [--partition hash|scc] [--shard-workers N]\n"
       "           [--dynamic] [--metrics]\n"
       "           (requests on stdin: top K | score HOST |\n"
       "           rank HOST | compare HOST | recompute S | labels HOST... |\n"
@@ -906,13 +869,33 @@ void usage() {
       "and `update page HOST`, then `update commit` re-derives the dirty\n"
       "source rows and republishes sigma through a warm incremental push\n"
       "(no full re-solve for localized edits); `update status` shows the\n"
-      "staging and publish state. Incompatible with --shards.\n"
-      "--shards K partitions the source graph and solves per shard\n"
-      "(--shards 1 is bit-identical to the monolithic path); serve then\n"
-      "re-solves only the shards a policy change touches.\n"
+      "staging and publish state.\n"
       "--trace FILE writes a RunReport JSON document; --trace-out FILE\n"
       "writes a Chrome/Perfetto trace-event JSON of the run's spans\n"
       "(open at https://ui.perfetto.dev).\n";
+}
+
+/// A subcommand and the options it reads (Args rejects the rest).
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::vector<std::string_view> options;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"generate", cmd_generate, {"out", "sources", "spam", "seed", "terms"}},
+      {"rank", cmd_rank,
+       {"in", "algo", "top", "alpha", "topk", "trace", "trace-out"}},
+      {"audit", cmd_audit, {"in", "topk"}},
+      {"attack", cmd_attack, {"in", "target-source", "pages", "cross"}},
+      {"stats", cmd_stats, {"in", "alpha", "topk", "json", "prometheus"}},
+      {"sweep", cmd_sweep,
+       {"in", "configs", "alpha", "topk", "mode", "trace-out"}},
+      {"serve", cmd_serve,
+       {"in", "alpha", "topk", "mode", "dynamic", "metrics"}},
+  };
+  return table;
 }
 
 }  // namespace
@@ -922,18 +905,18 @@ int main(int argc, char** argv) {
     usage();
     return 2;
   }
-  const std::string cmd = argv[1];
-  try {
-    const Args args(argc, argv);
-    if (cmd == "generate") return cmd_generate(args);
-    if (cmd == "rank") return cmd_rank(args);
-    if (cmd == "audit") return cmd_audit(args);
-    if (cmd == "attack") return cmd_attack(args);
-    if (cmd == "stats") return cmd_stats(args);
-    if (cmd == "sweep") return cmd_sweep(args);
-    if (cmd == "serve") return cmd_serve(args);
+  const std::string_view name = argv[1];
+  const auto& table = commands();
+  const auto cmd =
+      std::find_if(table.begin(), table.end(),
+                   [&](const Command& c) { return c.name == name; });
+  if (cmd == table.end()) {
     usage();
     return 2;
+  }
+  try {
+    const Args args(argc, argv, cmd->options);
+    return cmd->run(args);
   } catch (const srsr::Error& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
