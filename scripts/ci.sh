@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Single-exit-code CI gate: configure → build → unit tests → sanitizer
-# matrix (tsan + asan) → clang-tidy → project lint → static analysis
+# matrix (tsan + asan) → serve/dynamic/prometheus end-to-end smokes →
+# benchmark suite smoke → clang-tidy → project lint → static analysis
 # (srsr_analyze) → analyzer selftest. Any stage failing fails the run;
-# stages whose tooling is absent in the image (clang-tidy on the
-# gcc-only container) skip with a notice rather than fail.
+# stages whose tooling is absent (clang-tidy on a gcc-only toolchain)
+# skip with a notice rather than fail.
 #
 #   scripts/ci.sh
 set -euo pipefail
@@ -70,6 +71,13 @@ grep -q '"traceEvents"' "$TRACE_JSON" \
   || { echo "ci: serve tracefile produced no trace events" >&2; exit 1; }
 grep -q '"serve.recompute"' "$TRACE_JSON" \
   || { echo "ci: serve trace missing recompute span" >&2; exit 1; }
+
+stage "benchmark suite smoke (bench/suite/run.sh --smoke)"
+# The suite builds its own tree (build/bench-suite) against the serve
+# and stream APIs that ctest never compiles it against; smoke mode runs
+# every workload once on 2k-source corpora with every correctness gate
+# (published sigma vs a tight reference solve) and fails on any of them.
+bench/suite/run.sh --smoke
 
 stage "clang-tidy (scripts/tidy.sh)"
 scripts/tidy.sh

@@ -69,7 +69,7 @@ rank::ThrottledView SpamResilientSourceRank::throttled_view(
 }
 
 rank::RankResult SpamResilientSourceRank::solve(
-    const rank::TransitionOperator& op,
+    const rank::ThrottledView& op,
     std::span<const f64> warm_start) const {
   obs::Span span("core.solve");
   obs::StageTimer stage("core.solve");

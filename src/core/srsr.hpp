@@ -111,7 +111,7 @@ class SpamResilientSourceRank {
       const SpamProximityConfig& proximity_config = {}) const;
 
  private:
-  rank::RankResult solve(const rank::TransitionOperator& op,
+  rank::RankResult solve(const rank::ThrottledView& op,
                          std::span<const f64> warm_start = {}) const;
   SrsrConfig config_;
   SourceGraph source_graph_;

@@ -8,7 +8,7 @@
 
 namespace srsr::rank {
 
-RankResult gauss_seidel_solve(const TransitionOperator& op,
+RankResult gauss_seidel_solve(const ThrottledView& op,
                               const SolverConfig& config) {
   SRSR_CHECK(std::isfinite(config.alpha) && config.alpha >= 0.0 &&
                  config.alpha < 1.0,

@@ -28,7 +28,7 @@ RankResult gauss_seidel_solve(const StochasticMatrix& matrix,
 
 /// Operator form: sweeps via pull_off_diagonal() / diagonal(), so a
 /// ThrottledView runs without materializing the throttled matrix.
-RankResult gauss_seidel_solve(const TransitionOperator& op,
+RankResult gauss_seidel_solve(const ThrottledView& op,
                               const SolverConfig& config);
 
 }  // namespace srsr::rank

@@ -1,4 +1,4 @@
-// TransitionOperator: the abstraction the iterative solvers consume.
+// ThrottledView: the one operator the iterative solvers consume.
 //
 // The solvers never needed a concrete matrix — they need four access
 // patterns over one:
@@ -9,16 +9,17 @@
 //   diagonal(v)              A_vv, for the implicit Gauss-Seidel solve;
 //   row(u, ...)              forward row access, for residual push.
 //
-// ThrottledView is the one CSR implementation. It holds a base matrix B
-// and its transpose (both built ONCE by the caller) plus a RowAffinePlan
-// of three O(V) vectors; entries of A are computed on the fly as
-// off_scale[r] * B_rc with the diagonal overridden. Under the throttle
-// plan (core::make_throttle_plan) A = T'' = throttle(T', kappa), so
-// sweeping kappa configurations costs an O(V) plan build per
-// configuration instead of two O(E) copies (materialize + transpose).
-// Under identity_plan(B) A = B itself: that is how the StochasticMatrix
-// overloads of the solvers iterate a materialized matrix. (The other
-// implementation is stream's DynamicOperator over a mutable row store.)
+// ThrottledView holds a base matrix B and its transpose (both built
+// ONCE by the caller) plus a RowAffinePlan of three O(V) vectors;
+// entries of A are computed on the fly as off_scale[r] * B_rc with the
+// diagonal overridden. Under the throttle plan
+// (core::make_throttle_plan) A = T'' = throttle(T', kappa), so sweeping
+// kappa configurations costs an O(V) plan build per configuration
+// instead of two O(E) copies (materialize + transpose). Under
+// identity_plan(B) A = B itself: that is how the StochasticMatrix
+// overloads of the solvers iterate a materialized matrix. (Push over
+// stream's mutable row store needs only forward rows, which it serves
+// through push_continue's row accessor — no second operator type.)
 //
 // A ThrottledView is immutable after construction and safe to share
 // across threads for concurrent pull()/row() calls (lock-free reads of
@@ -47,46 +48,13 @@ struct RowAffinePlan {
   std::vector<f64> deficit;
 };
 
-/// One forward row of an operator. Spans either alias the operator's
-/// own storage or the scratch buffers passed to row(); they are valid
-/// until the next call that reuses those buffers.
+/// One forward row of an operator, as ThrottledView::row() and push's
+/// row accessors serve it. Spans alias either the row storage or the
+/// caller's scratch buffers; they are valid until the next call that
+/// reuses those buffers.
 struct OperatorRow {
   std::span<const NodeId> cols;
   std::span<const f64> weights;
-};
-
-class TransitionOperator {
- public:
-  virtual ~TransitionOperator() = default;
-
-  virtual NodeId num_rows() const = 0;
-  /// Entries in the underlying sparsity pattern (reporting only).
-  virtual u64 num_entries() const = 0;
-
-  /// Per-row probability deficits max(0, 1 - row_sum): the mass the
-  /// power solver re-routes to the teleport distribution.
-  virtual const std::vector<f64>& deficits() const = 0;
-
-  /// y_v = sum_u x_u * A_uv for every v (pull form). Parallel across
-  /// destination rows; x and y must both have num_rows() entries and
-  /// must not alias.
-  virtual void pull(std::span<const f64> x, std::span<f64> y) const = 0;
-
-  /// sum_{u != v} x_u * A_uv — the Gauss-Seidel off-diagonal pull for
-  /// one destination row (serial by nature).
-  virtual f64 pull_off_diagonal(NodeId v, std::span<const f64> x) const = 0;
-
-  /// A_vv.
-  virtual f64 diagonal(NodeId v) const = 0;
-
-  /// Forward row u of A. Implementations compute weights on the fly into
-  /// the scratch buffers and may return columns straight from their own
-  /// storage (the scratch column buffer is only needed when the row
-  /// gains a diagonal entry its base pattern lacks).
-  virtual OperatorRow row(NodeId u, std::vector<NodeId>& cols_scratch,
-                          std::vector<f64>& weights_scratch) const = 0;
-
-  virtual u64 memory_bytes() const = 0;
 };
 
 /// The plan under which a ThrottledView over `matrix` reproduces
@@ -98,7 +66,7 @@ RowAffinePlan identity_plan(const StochasticMatrix& matrix);
 /// The lazy row-affine operator: entries of A computed on read from the
 /// transposed base plus the per-row plan. Both matrices must outlive the
 /// view; `transpose` must be `base.transpose()`.
-class ThrottledView final : public TransitionOperator {
+class ThrottledView {
  public:
   ThrottledView(const StochasticMatrix& base,
                 const StochasticMatrix& transpose, RowAffinePlan plan);
@@ -109,20 +77,32 @@ class ThrottledView final : public TransitionOperator {
 
   const RowAffinePlan& plan() const { return plan_; }
 
-  NodeId num_rows() const override { return base_->num_rows(); }
-  u64 num_entries() const override { return base_->num_entries(); }
-  const std::vector<f64>& deficits() const override { return plan_.deficit; }
-  void pull(std::span<const f64> x, std::span<f64> y) const override;
-  f64 pull_off_diagonal(NodeId v, std::span<const f64> x) const override;
-  f64 diagonal(NodeId v) const override { return plan_.diagonal[v]; }
+  NodeId num_rows() const { return base_->num_rows(); }
+  /// Entries in the base sparsity pattern (reporting only).
+  u64 num_entries() const { return base_->num_entries(); }
+
+  /// Per-row probability deficits max(0, 1 - row_sum): the mass the
+  /// power solver re-routes to the teleport distribution.
+  const std::vector<f64>& deficits() const { return plan_.deficit; }
+
+  /// y_v = sum_u x_u * A_uv for every v (pull form). Parallel across
+  /// destination rows; x and y must both have num_rows() entries and
+  /// must not alias.
+  void pull(std::span<const f64> x, std::span<f64> y) const;
+
+  /// sum_{u != v} x_u * A_uv — the Gauss-Seidel off-diagonal pull for
+  /// one destination row (serial by nature).
+  f64 pull_off_diagonal(NodeId v, std::span<const f64> x) const;
+
+  /// A_vv.
+  f64 diagonal(NodeId v) const { return plan_.diagonal[v]; }
+
+  /// Forward row u of A: weights computed into the scratch buffers,
+  /// columns straight from the base matrix (the scratch column buffer
+  /// is only needed when the row gains a diagonal entry its base
+  /// pattern lacks).
   OperatorRow row(NodeId u, std::vector<NodeId>& cols_scratch,
-                  std::vector<f64>& weights_scratch) const override;
-  /// Only the plan is owned; the CSR arrays belong to the caller.
-  u64 memory_bytes() const override {
-    return (plan_.off_scale.size() + plan_.diagonal.size() +
-            plan_.deficit.size()) *
-           sizeof(f64);
-  }
+                  std::vector<f64>& weights_scratch) const;
 
  private:
   const StochasticMatrix* base_;

@@ -28,18 +28,19 @@ std::vector<f64> make_teleport(const PushConfig& config, NodeId n) {
   return out;
 }
 
-/// Core loop: pushes residual mass until every |r_u| < epsilon.
-/// `row_of(u)` serves forward row u as an OperatorRow — direct CSR
-/// spans for a matrix, on-the-fly weights for a view.
-template <typename RowFn>
-PushResult run_push(NodeId n, const PushConfig& config, std::vector<f64> p,
-                    std::vector<f64> r, RowFn&& row_of,
-                    std::vector<f64>* residual_out = nullptr) {
+}  // namespace
+
+PushResult push_continue(const PushConfig& config, std::vector<f64> p,
+                         std::vector<f64> r, const RowAccessor& row_of,
+                         std::vector<f64>* residual_out) {
   SRSR_CHECK(std::isfinite(config.alpha) && config.alpha >= 0.0 &&
                  config.alpha < 1.0,
              "push: alpha = ", config.alpha, ", must be in [0, 1)");
   SRSR_CHECK(std::isfinite(config.epsilon) && config.epsilon > 0.0,
              "push: epsilon must be positive and finite");
+  const NodeId n = static_cast<NodeId>(p.size());
+  SRSR_CHECK(r.size() == n, "push_continue: state size mismatch (", p.size(),
+             " estimate / ", r.size(), " residual entries)");
   const f64 alpha = config.alpha;
   PushResult result;
   WallTimer timer;
@@ -127,109 +128,24 @@ PushResult run_push(NodeId n, const PushConfig& config, std::vector<f64> p,
   return result;
 }
 
-/// Operator analogue of StochasticMatrix::left_multiply (same serial
-/// scatter order, same skip of zero entries) over row() access.
-void operator_left_multiply(const TransitionOperator& op,
-                            std::span<const f64> x, std::span<f64> y) {
-  const NodeId n = op.num_rows();
-  SRSR_CHECK(x.size() == n && y.size() == n,
-             "push: operator left_multiply size mismatch");
-  for (f64& v : y) v = 0.0;
-  std::vector<NodeId> cols_scratch;
-  std::vector<f64> weights_scratch;
-  for (NodeId r = 0; r < n; ++r) {
-    const f64 xr = x[r];
-    if (xr == 0.0) continue;
-    const OperatorRow row = op.row(r, cols_scratch, weights_scratch);
-    for (std::size_t i = 0; i < row.cols.size(); ++i)
-      y[row.cols[i]] += xr * row.weights[i];
-  }
-}
-
-std::vector<f64> defect_residual(std::span<const f64> pulled,
-                                 std::span<const f64> teleport,
-                                 std::span<const f64> p, f64 alpha) {
-  // Signed defect residual: r = (alpha*A^T x + (1-alpha)c - x)/(1-alpha).
-  std::vector<f64> r(p.size());
-  for (std::size_t u = 0; u < p.size(); ++u) {
-    r[u] = (alpha * pulled[u] + (1.0 - alpha) * teleport[u] - p[u]) /
-           (1.0 - alpha);
-  }
-  return r;
-}
-
-}  // namespace
-
 PushResult push_solve(const StochasticMatrix& matrix,
                       const PushConfig& config) {
   const NodeId n = matrix.num_rows();
-  std::vector<f64> p(n, 0.0);
-  std::vector<f64> r = make_teleport(config, n);
-  return run_push(n, config, std::move(p), std::move(r), [&](NodeId u) {
-    return OperatorRow{matrix.row_cols(u), matrix.row_weights(u)};
-  });
+  return push_continue(config, std::vector<f64>(n, 0.0),
+                       make_teleport(config, n), [&](NodeId u) {
+                         return OperatorRow{matrix.row_cols(u),
+                                            matrix.row_weights(u)};
+                       });
 }
 
-PushResult push_update(const StochasticMatrix& matrix,
-                       const PushConfig& config,
-                       std::span<const f64> old_scores) {
-  const NodeId n = matrix.num_rows();
-  SRSR_CHECK(old_scores.size() == n,
-             "push_update: old solution size mismatch");
-  const std::vector<f64> teleport = make_teleport(config, n);
-
-  std::vector<f64> p(old_scores.begin(), old_scores.end());
-  std::vector<f64> pulled(n, 0.0);
-  matrix.left_multiply(p, pulled);
-  std::vector<f64> r = defect_residual(pulled, teleport, p, config.alpha);
-  return run_push(n, config, std::move(p), std::move(r), [&](NodeId u) {
-    return OperatorRow{matrix.row_cols(u), matrix.row_weights(u)};
-  });
-}
-
-PushResult push_solve(const TransitionOperator& op, const PushConfig& config) {
-  const NodeId n = op.num_rows();
-  std::vector<f64> p(n, 0.0);
-  std::vector<f64> r = make_teleport(config, n);
+PushResult push_solve(const ThrottledView& view, const PushConfig& config) {
+  const NodeId n = view.num_rows();
   std::vector<NodeId> cols_scratch;
   std::vector<f64> weights_scratch;
-  return run_push(n, config, std::move(p), std::move(r), [&](NodeId u) {
-    return op.row(u, cols_scratch, weights_scratch);
-  });
-}
-
-PushResult push_update(const TransitionOperator& op, const PushConfig& config,
-                       std::span<const f64> old_scores) {
-  const NodeId n = op.num_rows();
-  SRSR_CHECK(old_scores.size() == n,
-             "push_update: old solution size mismatch");
-  const std::vector<f64> teleport = make_teleport(config, n);
-
-  std::vector<f64> p(old_scores.begin(), old_scores.end());
-  std::vector<f64> pulled(n, 0.0);
-  operator_left_multiply(op, p, pulled);
-  std::vector<f64> r = defect_residual(pulled, teleport, p, config.alpha);
-  std::vector<NodeId> cols_scratch;
-  std::vector<f64> weights_scratch;
-  return run_push(n, config, std::move(p), std::move(r), [&](NodeId u) {
-    return op.row(u, cols_scratch, weights_scratch);
-  });
-}
-
-PushResult push_continue(const TransitionOperator& op,
-                         const PushConfig& config, std::vector<f64> estimate,
-                         std::vector<f64> residual,
-                         std::vector<f64>* residual_out) {
-  const NodeId n = op.num_rows();
-  SRSR_CHECK(estimate.size() == n && residual.size() == n,
-             "push_continue: state size mismatch (", estimate.size(), " / ",
-             residual.size(), " entries, ", n, " rows)");
-  std::vector<NodeId> cols_scratch;
-  std::vector<f64> weights_scratch;
-  return run_push(
-      n, config, std::move(estimate), std::move(residual),
-      [&](NodeId u) { return op.row(u, cols_scratch, weights_scratch); },
-      residual_out);
+  return push_continue(config, std::vector<f64>(n, 0.0),
+                       make_teleport(config, n), [&](NodeId u) {
+                         return view.row(u, cols_scratch, weights_scratch);
+                       });
 }
 
 }  // namespace srsr::rank

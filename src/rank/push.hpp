@@ -18,20 +18,21 @@
 //
 //   - LOCAL solves: with a concentrated teleport c, only the
 //     neighborhood that matters is ever touched;
-//   - INCREMENTAL updates (push_update): after the matrix changes from
-//     A to A', re-seed p with the old solution and the residual with
-//     the (signed!) defect
-//       r = (alpha*A'^T x_old + (1-alpha)c - x_old) / (1-alpha),
-//     then push; for a handful of edited rows the defect is supported
-//     on their out-neighborhoods only, so the update cost scales with
-//     the edit, not the graph. Residuals may be negative; pushes handle
-//     both signs.
+//   - INCREMENTAL updates (push_continue): the invariant makes the
+//     exact residual a function of the estimate,
+//       r = (alpha*A^T p + (1-alpha)c - p) / (1-alpha),
+//     so after the matrix changes from A to A' the caller keeps p and
+//     corrects r by the (signed!) row deltas alpha/(1-alpha)(A'-A)^T p;
+//     for a handful of edited rows the correction is supported on
+//     their out-neighborhoods only, so the update cost scales with the
+//     edit, not the graph. Residuals may be negative; pushes handle
+//     both signs (stream/incremental.hpp drives this).
 //
 // Scores are returned L1-normalized like the other solvers.
 #pragma once
 
+#include <functional>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -76,37 +77,30 @@ struct PushResult {
   f64 seconds = 0.0;
 };
 
-/// Full solve from scratch (p = 0, r = c).
+/// Forward row accessor: row_of(u) serves row u of the operator as an
+/// OperatorRow whose spans stay valid until the next call.
+using RowAccessor = std::function<OperatorRow(NodeId)>;
+
+/// Continues a push solve from EXPLICIT (estimate, residual) state —
+/// the one push loop; the solves below start it at p = 0, r = c. The
+/// caller owns the invariant x = p + (1-alpha)(I - alpha*A^T)^{-1} r:
+/// after a sparse topology or plan edit it adjusts r by the signed row
+/// deltas and hands the pair back here; work is then proportional to
+/// the injected residual mass, not the graph. When `residual_out` is
+/// non-null the final residual vector is moved into it so the state can
+/// be carried into the next batch (pair with config.normalize = false —
+/// see the PushConfig field comment).
+PushResult push_continue(const PushConfig& config, std::vector<f64> estimate,
+                         std::vector<f64> residual, const RowAccessor& row_of,
+                         std::vector<f64>* residual_out = nullptr);
+
+/// Full solve from scratch (p = 0, r = c) along direct CSR rows of
+/// `matrix` (no transpose).
 PushResult push_solve(const StochasticMatrix& matrix,
                       const PushConfig& config);
 
-/// Incremental re-solve: `old_scores` is a previous solution (for a
-/// similar matrix, same dimension; normalization does not matter). The
-/// defect residual is computed against `matrix` and pushed to
-/// convergence.
-PushResult push_update(const StochasticMatrix& matrix,
-                       const PushConfig& config,
-                       std::span<const f64> old_scores);
-
-/// Operator forms: push along forward rows served by row() (a
-/// ThrottledView computes throttled weights on the fly; the matrix
-/// overloads above stay on direct CSR spans and never transpose).
-PushResult push_solve(const TransitionOperator& op, const PushConfig& config);
-PushResult push_update(const TransitionOperator& op, const PushConfig& config,
-                       std::span<const f64> old_scores);
-
-/// Continues a push solve from EXPLICIT (estimate, residual) state —
-/// the incremental-maintenance entry point. The caller owns the
-/// invariant x = p + (1-alpha)(I - alpha*A^T)^{-1} r: after a sparse
-/// topology or plan edit it adjusts r by the signed row deltas and
-/// hands the pair back here; work is then proportional to the injected
-/// residual mass, not the graph. When `residual_out` is non-null the
-/// final residual vector is moved into it so the state can be carried
-/// into the next batch (pair with config.normalize = false — see the
-/// PushConfig field comment).
-PushResult push_continue(const TransitionOperator& op,
-                         const PushConfig& config, std::vector<f64> estimate,
-                         std::vector<f64> residual,
-                         std::vector<f64>* residual_out = nullptr);
+/// Full solve along a ThrottledView's rows (throttled weights computed
+/// on the fly).
+PushResult push_solve(const ThrottledView& view, const PushConfig& config);
 
 }  // namespace srsr::rank

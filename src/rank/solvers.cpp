@@ -49,13 +49,13 @@ std::vector<f64> make_initial(const SolverConfig& config, NodeId n) {
   return out;
 }
 
-/// Shared pull-iteration driver over an abstract operator.
+/// Shared pull-iteration driver over a ThrottledView.
 /// `complete_deficits` selects the Markov completion (power method:
 /// per-row probability deficits — dangling rows and throttle-discarded
 /// mass — are re-routed to the teleport distribution) vs the raw linear
 /// form (Jacobi: deficit mass simply evaporates and the final
 /// normalization absorbs it).
-RankResult iterate(const TransitionOperator& op, const SolverConfig& config,
+RankResult iterate(const ThrottledView& op, const SolverConfig& config,
                    bool complete_deficits, const char* solver_name) {
   SRSR_CHECK(std::isfinite(config.alpha) && config.alpha >= 0.0 &&
                  config.alpha < 1.0,
@@ -155,13 +155,11 @@ RankResult jacobi_solve(const StochasticMatrix& matrix,
   return iterate(op, config, /*complete_deficits=*/false, "jacobi");
 }
 
-RankResult power_solve(const TransitionOperator& op,
-                       const SolverConfig& config) {
+RankResult power_solve(const ThrottledView& op, const SolverConfig& config) {
   return iterate(op, config, /*complete_deficits=*/true, "power");
 }
 
-RankResult jacobi_solve(const TransitionOperator& op,
-                        const SolverConfig& config) {
+RankResult jacobi_solve(const ThrottledView& op, const SolverConfig& config) {
   return iterate(op, config, /*complete_deficits=*/false, "jacobi");
 }
 

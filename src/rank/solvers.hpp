@@ -48,13 +48,10 @@ RankResult power_solve(const StochasticMatrix& matrix,
 RankResult jacobi_solve(const StochasticMatrix& matrix,
                         const SolverConfig& config);
 
-/// Operator forms: iterate an abstract TransitionOperator (e.g. a
-/// ThrottledView) instead of transposing a materialized matrix per
-/// solve. The matrix overloads above transpose once and run these over
-/// a ThrottledView under identity_plan(matrix).
-RankResult power_solve(const TransitionOperator& op,
-                       const SolverConfig& config);
-RankResult jacobi_solve(const TransitionOperator& op,
-                        const SolverConfig& config);
+/// Operator forms: iterate a ThrottledView instead of transposing a
+/// materialized matrix per solve. The matrix overloads above transpose
+/// once and run these over a view under identity_plan(matrix).
+RankResult power_solve(const ThrottledView& op, const SolverConfig& config);
+RankResult jacobi_solve(const ThrottledView& op, const SolverConfig& config);
 
 }  // namespace srsr::rank

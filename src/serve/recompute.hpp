@@ -1,32 +1,36 @@
 // RecomputePipeline — the background write path of the serving layer.
 //
-// Watches a queue of ranking updates (a new kappa vector, or a new set
-// of spam labels to derive one from), re-solves through the model's
-// lazy ThrottledView warm-started from the live snapshot's sigma, and
-// publishes the result atomically through the SnapshotStore. The query
-// path never blocks: readers keep serving the previous epoch for the
-// whole solve, and a failed solve (invalid kappa, or non-convergence
-// when required) publishes nothing — the old snapshot stays live and
-// the failure is counted, kept as last_error, and surfaced through
-// report_into() / the metrics registry (graceful degradation).
+// Watches a queue of ranking updates (a new kappa vector, a new set of
+// spam labels to derive one from, or — in dynamic mode — a committed
+// topology batch), applies them on one background worker, and publishes
+// the result atomically through the SnapshotStore. The query path never
+// blocks: readers keep serving the previous epoch for the whole solve.
 //
-// Updates coalesce: if several arrive while a solve is in flight, only
-// the newest is solved and the rest are counted as coalesced — ranking
-// updates are idempotent full recomputes, so intermediate states carry
-// no information.
+// The worker always takes the WHOLE queue as one run, then:
 //
-// DYNAMIC MODE (the second constructor): instead of a static model the
-// pipeline owns write access to a stream::IncrementalRanker. Committed
-// stream::UpdateBatch topology deltas are enqueued with
-// submit_update(); the worker drains the WHOLE queue in submit order —
-// topology batches are NOT last-wins coalescible (each moves the graph)
-// — applies every update (kappa changes route through set_kappa, label
-// updates walk the ranker's current topology), and folds the drained
-// run into ONE publish (the fold is counted in coalesced_batches).
-// Every publish is warm: the ranker carries its push state across
-// batches, so a single-host edit republishes after a localized push
-// instead of a full solve. A failed run keeps the old epoch live, like
-// the static path.
+//   - over a static model (first constructor): solves only the run's
+//     NEWEST update, warm-started from the live snapshot's sigma
+//     through the model's lazy ThrottledView; the older ones are
+//     counted as coalesced — a kappa/label update is an idempotent full
+//     recompute, so intermediate states carry no information;
+//   - over a stream::IncrementalRanker (second constructor, DYNAMIC
+//     mode): applies EVERY update in submit order — topology batches
+//     are not last-wins coalescible (each moves the graph); kappa
+//     changes route through set_kappa, label updates walk the ranker's
+//     current topology — and folds the run into ONE publish (the fold
+//     is counted in coalesced_batches). Every publish is warm: the
+//     ranker carries its push state across batches, so a single-host
+//     edit republishes after a localized push instead of a full solve.
+//
+// Failure is per update: an update that throws (invalid kappa,
+// malformed batch) is counted in `failed` and kept as last_error, and
+// the rest of its run still applies. A run publishes once if anything
+// in it applied, and never publishes an unconverged sigma (that counts
+// as one more failure). Either way the old snapshot stays live
+// (graceful degradation). Every submitted update is accounted for
+// exactly once:
+//
+//   published + failed + coalesced + coalesced_batches == submitted.
 //
 // One worker thread, started in the constructor, joined in stop() /
 // the destructor. This and util/parallel.hpp are the only places in
@@ -39,6 +43,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "obs/report.hpp"
@@ -53,13 +58,6 @@
 namespace srsr::serve {
 
 struct RecomputeConfig {
-  /// Warm-start each solve from the live snapshot's sigma. Off =
-  /// every publish is cold and bitwise-reproducible against a direct
-  /// model.rank() call.
-  bool warm_start = true;
-  /// Treat a solve that hits max_iterations without converging as a
-  /// failure (no publish) instead of serving a half-converged vector.
-  bool require_convergence = true;
   /// Optional watchdogs (must outlive the pipeline). `slo` is stamped
   /// on every publish; `drift` sees every published snapshot and
   /// judges it against its predecessor.
@@ -95,7 +93,7 @@ class RecomputePipeline {
   /// policy).
   void submit_spam_labels(std::vector<NodeId> source_seeds, u32 top_k);
 
-  /// Dynamic mode only: enqueues a committed topology batch. Batches
+  /// Dynamic mode only: enqueues a committed topology batch. Updates
   /// are applied strictly in submit order; runs drained together fold
   /// into one publish.
   void submit_update(stream::UpdateBatch batch);
@@ -103,8 +101,8 @@ class RecomputePipeline {
   /// Blocks until the queue is empty and no solve is in flight.
   void drain();
 
-  /// Stops the worker after the update it is currently solving (the
-  /// rest of the queue is dropped and counted as coalesced). Idempotent;
+  /// Stops the worker after the run it is currently applying (the rest
+  /// of the queue is dropped and counted as coalesced). Idempotent;
   /// also called by the destructor.
   void stop();
 
@@ -114,11 +112,13 @@ class RecomputePipeline {
     u64 failed = 0;
     u64 coalesced = 0;
     u64 last_epoch = 0;        // 0 = nothing published yet
-    std::string last_error;    // empty = no failure so far
+    /// The newest failure's message; cleared by a publish whose run
+    /// had no failing update.
+    std::string last_error;
     /// Updates waiting in the queue right now (sampled by stats()).
     u64 queue_depth = 0;
     /// Dynamic mode: updates folded into a shared publish (the drained
-    /// run minus the one publish it produced).
+    /// run's applied updates minus the one publish they produced).
     u64 coalesced_batches = 0;
     /// Dynamic mode: page mutations that changed graph state, total.
     u64 mutations_applied = 0;
@@ -138,25 +138,48 @@ class RecomputePipeline {
   bool dynamic() const { return ranker_ != nullptr; }
 
  private:
-  struct Update {
-    std::vector<f64> kappa;        // direct kappa update
-    std::vector<NodeId> seeds;     // label update (kappa derived)
+  /// A label update: the worker derives kappa from it.
+  struct Labels {
+    std::vector<NodeId> seeds;
     u32 top_k = 0;
-    bool from_seeds = false;
-    stream::UpdateBatch batch;     // dynamic mode: topology delta
-    bool topology = false;
-    std::string policy;
+  };
+  /// A direct kappa vector, spam labels, or a topology batch.
+  using Change = std::variant<std::vector<f64>, Labels, stream::UpdateBatch>;
+  struct Update {
+    Change change;
+    std::string policy;  // kappa and label updates
     /// Submitter's span context, captured at submit() time — the
-    /// explicit hand-off that parents the worker's recompute span to
-    /// the request that triggered it (obs/span.hpp rule 2).
+    /// explicit hand-off that parents the worker's span to the request
+    /// that triggered it (obs/span.hpp rule 2).
     obs::SpanContext ctx;
   };
+  /// The applied updates of one run, summed into its one publish.
+  struct RunTotals {
+    u64 applied = 0;  // updates that did not throw
+    bool clean = true;  // no update of the run threw
+    u64 batches = 0;
+    u64 pushes = 0;
+    u64 dirty_rows = 0;
+    u64 mutations = 0;
+    f64 seconds = 0.0;
+    bool converged = true;
+  };
 
+  void enqueue(Change change, std::string policy);
   void worker_loop();
-  void solve_and_publish(const Update& update);
-  /// Dynamic worker: applies a drained run of updates in order through
-  /// the ranker, then publishes once.
-  void apply_and_publish(const std::vector<Update>& updates);
+  /// Static model: solves a kappa or label update into a snapshot.
+  RankSnapshot solve(const Update& update) const;
+  /// Dynamic mode: applies one update to the ranker, in place, and
+  /// adds its outcome to `totals`.
+  void apply(const Update& update, RunTotals& totals);
+  /// Dynamic mode: the ranker's current sigma as a snapshot.
+  RankSnapshot ranker_snapshot(const RunTotals& totals) const;
+  /// Publishes a run's snapshot, or fails the run when it did not
+  /// converge; either way stats, watchdogs and metrics follow.
+  void publish(RankSnapshot snapshot, const RunTotals& totals);
+  /// Counts one failure; the live epoch stays as it is.
+  void fail(const std::string& why);
+
   const core::SpamResilientSourceRank* model_;  // null in dynamic mode
   stream::IncrementalRanker* ranker_ = nullptr;  // null in static mode
   std::vector<std::string> hosts_;

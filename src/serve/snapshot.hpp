@@ -41,7 +41,11 @@ struct SnapshotMeta {
   u64 epoch = 0;
   /// Human-readable description of the kappa policy applied.
   std::string kappa_policy;
-  std::string solver;  // "power" | "jacobi"
+  /// "power" | "jacobi" for a static model's solve; "push" for a
+  /// dynamic (IncrementalRanker) publish.
+  std::string solver;
+  /// Solver iterations — for "push", the run's push count (clamped to
+  /// u32).
   u32 iterations = 0;
   f64 residual = 0.0;
   bool converged = false;

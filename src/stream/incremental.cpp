@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <utility>
 
-#include "rank/operator.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -12,75 +11,14 @@ namespace srsr::stream {
 
 namespace {
 
-/// TransitionOperator over the dynamic row store + current throttle
-/// plan: T'' entries computed on read, nothing materialized, nothing
-/// owned. Rebound (cheaply) after every plan swap.
-class DynamicOperator final : public rank::TransitionOperator {
- public:
-  DynamicOperator(const DynamicSourceGraph& graph,
-                  const rank::RowAffinePlan& plan)
-      : graph_(&graph), plan_(&plan) {}
-
-  NodeId num_rows() const override { return graph_->num_sources(); }
-  u64 num_entries() const override { return graph_->row_entries(); }
-  const std::vector<f64>& deficits() const override { return plan_->deficit; }
-
-  void pull(std::span<const f64> x, std::span<f64> y) const override {
-    const NodeId n = num_rows();
-    SRSR_CHECK(x.size() == n && y.size() == n,
-               "DynamicOperator::pull: size mismatch");
-    for (f64& v : y) v = 0.0;
-    for (NodeId u = 0; u < n; ++u) {
-      const f64 xu = x[u];
-      if (xu == 0.0) continue;
-      const auto cs = graph_->row_cols(u);
-      const auto ws = graph_->row_weights(u);
-      for (std::size_t i = 0; i < cs.size(); ++i)
-        y[cs[i]] += xu * (cs[i] == u ? plan_->diagonal[u]
-                                     : plan_->off_scale[u] * ws[i]);
-    }
-  }
-
-  f64 pull_off_diagonal(NodeId v, std::span<const f64> x) const override {
-    SRSR_CHECK(v < num_rows() && x.size() == num_rows(),
-               "DynamicOperator::pull_off_diagonal: size mismatch");
-    // Column access without a transpose: O(E) scan. The stream path
-    // never runs Gauss-Seidel; this exists to satisfy the interface
-    // honestly, not to be fast.
-    f64 acc = 0.0;
-    const NodeId n = num_rows();
-    for (NodeId u = 0; u < n; ++u) {
-      if (u == v) continue;
-      const f64 xu = x[u];
-      if (xu == 0.0) continue;
-      const auto cs = graph_->row_cols(u);
-      const auto ws = graph_->row_weights(u);
-      for (std::size_t i = 0; i < cs.size(); ++i)
-        if (cs[i] == v) acc += xu * plan_->off_scale[u] * ws[i];
-    }
-    return acc;
-  }
-
-  f64 diagonal(NodeId v) const override { return plan_->diagonal[v]; }
-
-  rank::OperatorRow row(NodeId u, std::vector<NodeId>& cols_scratch,
-                        std::vector<f64>& weights_scratch) const override {
-    (void)cols_scratch;  // columns served straight from the row store
-    const auto cs = graph_->row_cols(u);
-    const auto ws = graph_->row_weights(u);
-    weights_scratch.resize(cs.size());
-    for (std::size_t i = 0; i < cs.size(); ++i)
-      weights_scratch[i] =
-          cs[i] == u ? plan_->diagonal[u] : plan_->off_scale[u] * ws[i];
-    return {cs, weights_scratch};
-  }
-
-  u64 memory_bytes() const override { return 0; }  // non-owning view
-
- private:
-  const DynamicSourceGraph* graph_;
-  const rank::RowAffinePlan* plan_;
-};
+/// Entry (row, col) of T'' for the row store's T' weight `w` under
+/// `plan`: the diagonal is overridden wholesale, off-diagonal weights
+/// rescaled. The one formula the push rows and the residual injection
+/// both read, so the two sides of the invariant can never disagree.
+f64 throttled_weight(const rank::RowAffinePlan& plan, NodeId row, NodeId col,
+                     f64 w) {
+  return col == row ? plan.diagonal[row] : plan.off_scale[row] * w;
+}
 
 }  // namespace
 
@@ -151,12 +89,8 @@ void IncrementalRanker::inject_row(NodeId row, std::span<const NodeId> cols,
   const f64 pu = p_[row];
   if (pu == 0.0) return;
   const f64 scale = sign * config_.alpha / (1.0 - config_.alpha) * pu;
-  const f64 off = plan.off_scale[row];
-  const f64 diag = plan.diagonal[row];
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    const f64 w = cols[i] == row ? diag : off * weights[i];
-    r_[cols[i]] += scale * w;
-  }
+  for (std::size_t i = 0; i < cols.size(); ++i)
+    r_[cols[i]] += scale * throttled_weight(plan, row, cols[i], weights[i]);
 }
 
 UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
@@ -164,7 +98,17 @@ UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
   for (const f64 v : r_) seed_mass += std::abs(v);
   outcome.seed_mass = seed_mass;
 
-  const DynamicOperator op(*graph_, plan_);
+  // T'' rows computed on read from the row store and the current plan:
+  // nothing materialized, nothing owned.
+  std::vector<f64> weights;
+  const rank::RowAccessor row_of = [&](NodeId u) {
+    const auto cs = graph_->row_cols(u);
+    const auto ws = graph_->row_weights(u);
+    weights.resize(cs.size());
+    for (std::size_t i = 0; i < cs.size(); ++i)
+      weights[i] = throttled_weight(plan_, u, cs[i], ws[i]);
+    return rank::OperatorRow{cs, weights};
+  };
   rank::PushConfig push;
   push.alpha = config_.alpha;
   push.epsilon = config_.epsilon;
@@ -181,7 +125,7 @@ UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
     // delta never gets near it.
     push.max_pushes = config_.max_delta_pushes != 0 ? config_.max_delta_pushes
                                                     : 512 * n + 4096;
-    result = rank::push_continue(op, push, std::move(p_), std::move(r_),
+    result = rank::push_continue(push, std::move(p_), std::move(r_), row_of,
                                  &residual);
     if (result.converged) {
       p_ = std::move(result.scores);
@@ -197,7 +141,7 @@ UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
   if (need_cold) {
     seed_cold();
     push.max_pushes = 0;
-    result = rank::push_continue(op, push, std::move(p_), std::move(r_),
+    result = rank::push_continue(push, std::move(p_), std::move(r_), row_of,
                                  &residual);
     p_ = std::move(result.scores);
     r_ = std::move(residual);

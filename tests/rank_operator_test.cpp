@@ -1,7 +1,8 @@
-// Tests for the TransitionOperator layer (rank/operator.hpp):
-// ThrottledView must reproduce the per-row affine reweighting it
-// encodes — under identity_plan(B), B itself — and concurrent reads of a
-// shared view must be race-free (this suite runs under the tsan preset).
+// Tests for ThrottledView (rank/operator.hpp), the one operator the
+// solvers iterate: it must reproduce the per-row affine reweighting it
+// encodes — under identity_plan(B), B itself — every solver must accept
+// it, and concurrent reads of a shared view must be race-free (this
+// suite runs under the tsan preset).
 #include "rank/operator.hpp"
 
 #include <gtest/gtest.h>

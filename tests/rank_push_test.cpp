@@ -1,5 +1,6 @@
-// Tests for Gauss-Southwell residual push (rank/push.hpp): full solves,
-// local solves, and incremental updates after graph edits.
+// Tests for Gauss-Southwell residual push (rank/push.hpp): full and
+// local solves. Incremental maintenance through push_continue is
+// covered by stream_incremental_test (IncrementalRanker).
 #include "rank/push.hpp"
 
 #include <gtest/gtest.h>
@@ -101,115 +102,6 @@ TEST(PushSolve, RejectsBadConfig) {
   cfg.alpha = 0.85;
   cfg.epsilon = 0.0;
   EXPECT_THROW(push_solve(m, cfg), Error);
-}
-
-TEST(PushUpdate, RestartAtSolutionDoesNoWork) {
-  Pcg32 rng(303);
-  const auto g = graph::add_self_loops(graph::erdos_renyi(80, 0.05, rng));
-  const auto m = StochasticMatrix::uniform_from_graph(g);
-  const auto base = push_solve(m, push_tight());
-  const auto again = push_update(m, push_tight(), base.scores);
-  EXPECT_TRUE(again.converged);
-  // The defect of an epsilon-converged solution is within epsilon of
-  // zero everywhere: nothing (or nearly nothing) to push.
-  EXPECT_LT(again.pushes, 10u);
-  for (std::size_t i = 0; i < base.scores.size(); ++i)
-    EXPECT_NEAR(again.scores[i], base.scores[i], 1e-7);
-}
-
-TEST(PushUpdate, TracksEditExactly) {
-  // Edit a few rows, update incrementally, compare with a full solve.
-  Pcg32 rng(304);
-  const auto g = graph::add_self_loops(graph::erdos_renyi(120, 0.04, rng));
-  const auto m = StochasticMatrix::uniform_from_graph(g);
-  const auto base = push_solve(m, push_tight());
-
-  const auto edited_graph =
-      graph::with_edges(g, {{3, 77}, {9, 77}, {21, 77}});
-  const auto m2 = StochasticMatrix::uniform_from_graph(edited_graph);
-  const auto incremental = push_update(m2, push_tight(), base.scores);
-  const auto full = push_solve(m2, push_tight());
-  ASSERT_TRUE(incremental.converged);
-  for (std::size_t i = 0; i < full.scores.size(); ++i)
-    EXPECT_NEAR(incremental.scores[i], full.scores[i], 1e-8);
-}
-
-TEST(PushUpdate, CheaperThanFullResolve) {
-  // On mixing graphs the defect smears globally, so the saving is the
-  // magnitude gap between the tiny defect and the full teleport mass
-  // (a log factor in rounds), not graph locality — assert the direction
-  // with a comfortable margin rather than an asymptotic ratio.
-  Pcg32 rng(305);
-  const auto g = graph::add_self_loops(graph::erdos_renyi(1000, 0.008, rng));
-  const auto m = StochasticMatrix::uniform_from_graph(g);
-  PushConfig cfg;
-  cfg.epsilon = 1e-7;
-  const auto base = push_solve(m, cfg);
-
-  const auto edited = graph::with_edges(g, {{1, 500}, {2, 500}});
-  const auto m2 = StochasticMatrix::uniform_from_graph(edited);
-  const auto incremental = push_update(m2, cfg, base.scores);
-  const auto full = push_solve(m2, cfg);
-  EXPECT_TRUE(incremental.converged);
-  EXPECT_LT(static_cast<f64>(incremental.pushes),
-            0.8 * static_cast<f64>(full.pushes));
-}
-
-TEST(PushUpdate, LocalEditNearLocalSeedStaysLocal) {
-  // With a concentrated teleport, both the solution and the defect of
-  // a nearby edit decay geometrically: the update touches a
-  // neighborhood, not the graph.
-  graph::GraphBuilder b(2000);
-  for (NodeId u = 0; u + 1 < 2000; ++u) b.add_edge(u, u + 1);  // long chain
-  for (NodeId u = 0; u < 2000; ++u) b.add_edge(u, u);
-  const auto g = b.build();
-  const auto m = StochasticMatrix::uniform_from_graph(g);
-  PushConfig cfg;
-  cfg.epsilon = 1e-10;
-  cfg.teleport = std::vector<f64>(2000, 0.0);
-  (*cfg.teleport)[0] = 1.0;
-  const auto base = push_solve(m, cfg);
-
-  const auto edited = graph::with_edges(g, {{2, 5}});
-  const auto m2 = StochasticMatrix::uniform_from_graph(edited);
-  const auto incremental = push_update(m2, cfg, base.scores);
-  EXPECT_TRUE(incremental.converged);
-  EXPECT_LT(incremental.touched, 300u);  // a neighborhood of the edit
-  const auto full = push_solve(m2, cfg);
-  for (std::size_t i = 0; i < full.scores.size(); ++i)
-    EXPECT_NEAR(incremental.scores[i], full.scores[i], 1e-7);
-}
-
-TEST(PushUpdate, HandlesSignedResiduals) {
-  // Removing mass (an edge redirect) produces negative defects; the
-  // update must still land on the full solution.
-  graph::GraphBuilder b1(6);
-  b1.add_edge(0, 1);
-  b1.add_edge(1, 2);
-  b1.add_edge(2, 0);
-  for (NodeId u = 0; u < 6; ++u) b1.add_edge(u, u);
-  const auto m1 = StochasticMatrix::uniform_from_graph(b1.build());
-  const auto base = push_solve(m1, push_tight());
-
-  graph::GraphBuilder b2(6);
-  b2.add_edge(0, 3);  // 0's endorsement redirected from 1 to 3
-  b2.add_edge(1, 2);
-  b2.add_edge(2, 0);
-  for (NodeId u = 0; u < 6; ++u) b2.add_edge(u, u);
-  const auto m2 = StochasticMatrix::uniform_from_graph(b2.build());
-  const auto incremental = push_update(m2, push_tight(), base.scores);
-  const auto full = push_solve(m2, push_tight());
-  ASSERT_TRUE(incremental.converged);
-  for (std::size_t i = 0; i < full.scores.size(); ++i)
-    EXPECT_NEAR(incremental.scores[i], full.scores[i], 1e-8);
-  // The redirect demotes node 1.
-  EXPECT_LT(incremental.scores[1], base.scores[1]);
-}
-
-TEST(PushUpdate, SizeMismatchThrows) {
-  const auto m = StochasticMatrix::uniform_from_graph(graph::cycle(4));
-  const std::vector<f64> wrong(3, 0.25);
-  EXPECT_THROW(push_update(m, PushConfig{}, wrong), Error);
 }
 
 }  // namespace

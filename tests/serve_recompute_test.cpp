@@ -139,32 +139,19 @@ TEST(RecomputePipeline, FailedSolveKeepsOldSnapshotLive) {
   EXPECT_TRUE(pipeline.stats().last_error.empty());
 }
 
-TEST(RecomputePipeline, NonConvergenceIsFailureOnlyWhenRequired) {
+TEST(RecomputePipeline, NonConvergenceIsNeverPublished) {
   core::SrsrConfig starved;
   starved.convergence.tolerance = 1e-15;
   starved.convergence.max_iterations = 1;
   Fixture fx(starved);
 
-  {
-    RecomputePipeline strict(fx.model, fx.corpus.source_hosts, fx.store);
-    strict.submit(fx.ring_kappa(0.5));
-    strict.drain();
-    EXPECT_EQ(strict.stats().failed, 1u);
-    EXPECT_EQ(strict.stats().published, 0u);
-    EXPECT_NE(strict.stats().last_error.find("converge"), std::string::npos);
-    EXPECT_EQ(fx.store.current(), nullptr);  // nothing ever published
-  }
-
-  RecomputeConfig lenient;
-  lenient.require_convergence = false;
-  RecomputePipeline loose(fx.model, fx.corpus.source_hosts, fx.store,
-                          lenient);
-  loose.submit(fx.ring_kappa(0.5));
-  loose.drain();
-  EXPECT_EQ(loose.stats().published, 1u);
-  const SnapshotPtr snap = fx.store.current();
-  ASSERT_NE(snap, nullptr);
-  EXPECT_FALSE(snap->meta().converged);
+  RecomputePipeline pipeline(fx.model, fx.corpus.source_hosts, fx.store);
+  pipeline.submit(fx.ring_kappa(0.5));
+  pipeline.drain();
+  EXPECT_EQ(pipeline.stats().failed, 1u);
+  EXPECT_EQ(pipeline.stats().published, 0u);
+  EXPECT_NE(pipeline.stats().last_error.find("converge"), std::string::npos);
+  EXPECT_EQ(fx.store.current(), nullptr);  // nothing ever published
 }
 
 TEST(RecomputePipeline, SpamLabelsDeriveAndPublishKappaPolicy) {

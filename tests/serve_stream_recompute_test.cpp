@@ -2,9 +2,10 @@
 // stream/incremental.hpp): topology batches publish fresh epochs
 // through the warm delta path, drained runs fold into one publish with
 // coalesced-batch accounting, kappa/label updates interleave in order,
-// failed batches keep the old epoch live, and concurrent readers never
-// see a torn snapshot. Runs under the tsan + sanitize ctest labels:
-// the worker thread against reader threads is the point.
+// failed updates keep the old epoch live without dropping the rest of
+// their run, and concurrent readers never see a torn snapshot. Runs
+// under the tsan + sanitize ctest labels: the worker thread against
+// reader threads is the point.
 #include "serve/recompute.hpp"
 
 #include <atomic>
@@ -168,6 +169,38 @@ TEST(DynamicRecompute, FailedBatchKeepsTheOldEpochLive) {
   pipeline.drain();
   EXPECT_GT(pipeline.stats().last_epoch, good_epoch);
   EXPECT_EQ(pipeline.stats().failed, 1u);
+}
+
+TEST(DynamicRecompute, FailedUpdateDoesNotDropLaterBatchesInItsRun) {
+  Fixture fx;
+  RecomputePipeline pipeline(fx.ranker, fx.store);
+  // Read before any submit: from here on the worker owns the ranker.
+  const u32 before = fx.ranker.num_sources();
+  // A bulk batch first keeps the worker busy (it takes the cold full
+  // path), so the two updates behind it drain as one run.
+  for (u32 i = 0; i < 40; ++i)
+    fx.stream.insert_link(fx.corpus.source_first_page[i],
+                          fx.corpus.source_first_page[79 - i]);
+  pipeline.submit_update(fx.stream.commit());
+  // A kappa sized for the wrong id space fails on its own...
+  pipeline.submit(std::vector<f64>(before + 3, 0.5), "broken");
+  // ...and the growth batch committed behind it must still apply.
+  const NodeId page = fx.stream.add_page("grown.example");
+  fx.stream.insert_link(page, fx.corpus.source_first_page[0]);
+  fx.stream.insert_link(fx.corpus.source_first_page[2], page);
+  pipeline.submit_update(fx.stream.commit());
+  pipeline.drain();
+
+  const auto st = pipeline.stats();
+  EXPECT_EQ(st.failed, 1u);
+  EXPECT_EQ(st.published + st.failed + st.coalesced + st.coalesced_batches,
+            st.submitted);
+  const auto snap = fx.store.current();
+  ASSERT_NE(snap, nullptr);
+  EXPECT_EQ(snap->num_sources(), before + 1);
+  EXPECT_EQ(snap->hosts().back(), "grown.example");
+  // The failed update installed no policy.
+  EXPECT_EQ(snap->meta().kappa_policy, "uniform_zero");
 }
 
 TEST(DynamicRecompute, GrowthPublishesGrownSnapshots) {

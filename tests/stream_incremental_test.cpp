@@ -226,12 +226,20 @@ TEST(IncrementalRanker, KappaSwapsRideTheWarmPath) {
   EXPECT_TRUE(up.converged);
   expect_parity(fx.ranker, "kappa on");
 
-  // Unchanged kappa injects nothing: no pushes, and the seed is just
-  // the standing sub-epsilon residual carried between solves.
+  // Restarting at the solution does no work: unchanged kappa dirties
+  // no row and pushes nothing, and the seed is just the standing
+  // sub-epsilon residual carried between solves.
   const auto same = fx.ranker.set_kappa(kappa);
+  EXPECT_EQ(same.dirty_rows, 0u);
   EXPECT_EQ(same.pushes, 0u);
   EXPECT_LT(same.seed_mass,
             static_cast<f64>(fx.ranker.num_sources()) * kEpsilon);
+
+  // A kappa sized for another id space is rejected before any state
+  // moves.
+  EXPECT_THROW(fx.ranker.set_kappa(std::vector<f64>(kappa.size() - 1, 0.0)),
+               Error);
+  expect_parity(fx.ranker, "rejected kappa");
 
   // Back to zero: sign-flipped plan delta.
   std::vector<f64> off(fx.ranker.num_sources(), 0.0);
@@ -284,6 +292,7 @@ TEST(IncrementalRanker, RejectsOutOfOrderSequences) {
 
 TEST(IncrementalRanker, OutcomeAccountingIsCoherent) {
   Fixture fx;
+  const u64 cold_pushes = fx.ranker.last_outcome().pushes;
   fx.stream.insert_link(fx.corpus.source_first_page[4],
                         fx.corpus.source_first_page[9]);
   fx.stream.insert_link(fx.corpus.source_first_page[4],
@@ -294,6 +303,11 @@ TEST(IncrementalRanker, OutcomeAccountingIsCoherent) {
   EXPECT_GE(outcome.dirty_rows, 1u);
   EXPECT_GT(outcome.seed_mass, 0.0);
   EXPECT_GT(outcome.pushes, 0u);
+  // The delta pushes only the injected defect, far less than the cold
+  // initial solve pushed from the full teleport mass.
+  EXPECT_LT(static_cast<f64>(outcome.pushes),
+            0.8 * static_cast<f64>(cold_pushes))
+      << outcome.pushes << " delta vs " << cold_pushes << " cold pushes";
   EXPECT_GT(outcome.touched, 0u);
   EXPECT_LT(outcome.max_residual, kEpsilon);
   EXPECT_GE(outcome.seconds, 0.0);
