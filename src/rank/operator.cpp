@@ -76,57 +76,4 @@ f64 ThrottledView::pull_off_diagonal(NodeId v, std::span<const f64> x) const {
   return acc;
 }
 
-OperatorRow ThrottledView::row(NodeId u, std::vector<NodeId>& cols_scratch,
-                               std::vector<f64>& weights_scratch) const {
-  SRSR_DCHECK(u < num_rows(), "ThrottledView::row: row ", u, " of ",
-              num_rows());
-  // srsr:hot throttled-row — per-sweep row synthesis for the
-  // Gauss-Seidel and push solvers. The scratch vectors are caller-owned
-  // and reused across every row of a solve, so the growth calls below
-  // are amortized-zero after the first sweep.
-  const auto cs = base_->row_cols(u);
-  const auto ws = base_->row_weights(u);
-  const f64 scale = plan_.off_scale[u];
-  const f64 diag = plan_.diagonal[u];
-
-  bool has_self = false;
-  for (const NodeId c : cs)
-    if (c == u) {
-      has_self = true;
-      break;
-    }
-
-  weights_scratch.clear();
-  if (has_self || diag == 0.0) {
-    // The base pattern already covers the diagonal (or there is none):
-    // reuse the base column span and compute weights in place.
-    weights_scratch.reserve(cs.size());  // srsr-analyze: allow(hotloop): reused scratch, amortized-zero
-    for (std::size_t i = 0; i < cs.size(); ++i)
-      weights_scratch.push_back(cs[i] == u ? diag : ws[i] * scale);  // srsr-analyze: allow(hotloop): within reserved capacity
-    return {cs, weights_scratch};
-  }
-
-  // Diagonal override on a row with no self entry (absorb-mode splice):
-  // build the column list too, keeping sorted rows sorted.
-  cols_scratch.clear();
-  cols_scratch.reserve(cs.size() + 1);  // srsr-analyze: allow(hotloop): reused scratch, amortized-zero
-  weights_scratch.reserve(cs.size() + 1);  // srsr-analyze: allow(hotloop): reused scratch, amortized-zero
-  bool self_written = false;
-  for (std::size_t i = 0; i < cs.size(); ++i) {
-    if (!self_written && cs[i] > u) {
-      cols_scratch.push_back(u);  // srsr-analyze: allow(hotloop): within reserved capacity
-      weights_scratch.push_back(diag);  // srsr-analyze: allow(hotloop): within reserved capacity
-      self_written = true;
-    }
-    cols_scratch.push_back(cs[i]);  // srsr-analyze: allow(hotloop): within reserved capacity
-    weights_scratch.push_back(ws[i] * scale);  // srsr-analyze: allow(hotloop): within reserved capacity
-  }
-  if (!self_written) {
-    cols_scratch.push_back(u);  // srsr-analyze: allow(hotloop): within reserved capacity
-    weights_scratch.push_back(diag);  // srsr-analyze: allow(hotloop): within reserved capacity
-  }
-  return {cols_scratch, weights_scratch};
-  // srsr:endhot
-}
-
 }  // namespace srsr::rank

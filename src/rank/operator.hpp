@@ -7,7 +7,8 @@
 //                            Jacobi routes (parallel across rows);
 //   pull_off_diagonal(v, x)  the Gauss-Seidel inner step (serial);
 //   diagonal(v)              A_vv, for the implicit Gauss-Seidel solve;
-//   row(u, ...)              forward row access, for residual push.
+//   base() + plan()          forward rows of B and the per-row map that
+//                            turns them into A, for residual push.
 //
 // ThrottledView holds a base matrix B and its transpose (both built
 // ONCE by the caller) plus a RowAffinePlan of three O(V) vectors;
@@ -17,12 +18,13 @@
 // kappa configurations costs an O(V) plan build per configuration
 // instead of two O(E) copies (materialize + transpose). Under
 // identity_plan(B) A = B itself: that is how the StochasticMatrix
-// overloads of the solvers iterate a materialized matrix. (Push over
-// stream's mutable row store needs only forward rows, which it serves
-// through push_continue's row accessor — no second operator type.)
+// overloads of the solvers iterate a materialized matrix. (Push reads
+// base rows and applies the plan itself, so it runs the same way over
+// stream's mutable row store through push_continue's row accessor — no
+// second operator type.)
 //
 // A ThrottledView is immutable after construction and safe to share
-// across threads for concurrent pull()/row() calls (lock-free reads of
+// across threads for concurrent pull() calls (lock-free reads of
 // const CSR arrays; the tsan suite pins this).
 #pragma once
 
@@ -48,10 +50,9 @@ struct RowAffinePlan {
   std::vector<f64> deficit;
 };
 
-/// One forward row of an operator, as ThrottledView::row() and push's
-/// row accessors serve it. Spans alias either the row storage or the
-/// caller's scratch buffers; they are valid until the next call that
-/// reuses those buffers.
+/// One forward row of a base matrix, as push's row accessors serve it.
+/// The spans alias the row storage; they stay valid until that storage
+/// changes.
 struct OperatorRow {
   std::span<const NodeId> cols;
   std::span<const f64> weights;
@@ -76,6 +77,8 @@ class ThrottledView {
   void reset_plan(RowAffinePlan plan);
 
   const RowAffinePlan& plan() const { return plan_; }
+  /// The base matrix B the plan reweights.
+  const StochasticMatrix& base() const { return *base_; }
 
   NodeId num_rows() const { return base_->num_rows(); }
   /// Entries in the base sparsity pattern (reporting only).
@@ -96,13 +99,6 @@ class ThrottledView {
 
   /// A_vv.
   f64 diagonal(NodeId v) const { return plan_.diagonal[v]; }
-
-  /// Forward row u of A: weights computed into the scratch buffers,
-  /// columns straight from the base matrix (the scratch column buffer
-  /// is only needed when the row gains a diagonal entry its base
-  /// pattern lacks).
-  OperatorRow row(NodeId u, std::vector<NodeId>& cols_scratch,
-                  std::vector<f64>& weights_scratch) const;
 
  private:
   const StochasticMatrix* base_;

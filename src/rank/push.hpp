@@ -1,4 +1,4 @@
-// Gauss-Southwell residual push: local and incremental PageRank.
+// Residual push: local and incremental PageRank.
 //
 // Solves the same linear system as jacobi_solve,
 //
@@ -8,10 +8,19 @@
 //
 //   x = p + (1-alpha) * (I - alpha*A^T)^{-1} r,
 //
-// initialized as p = 0, r = c. A push at node u moves its residual into
-// the estimate and forwards alpha-scaled residual along u's out-edges:
+// initialized as p = 0, r = c. A is a base matrix B under a per-row
+// affine plan (rank/operator.hpp): A_uv = off_scale[u] * B_uv off the
+// diagonal, A_uu = diagonal[u]. A push at node u eliminates u's
+// self-loop in closed form — it moves the whole geometric series of
+// self-pushes at once:
 //
-//   p_u += (1-alpha) * r_u;   r_v += alpha * w_uv * r_u;   r_u = 0.
+//   k = r_u / (1 - alpha*A_uu);   p_u += (1-alpha) * k;
+//   r_v += alpha * A_uv * k  (v != u);   r_u = 0.
+//
+// Pushes keep the invariant exact, so the order is free. The frontier
+// is FIFO while it is sparse; while it holds more than n/16 rows the
+// loop instead sweeps every frontier row in ascending id order (a cold
+// solve starts there). Both orders are serial and deterministic.
 //
 // Work is proportional to the residual mass actually moved, not to the
 // graph size — which enables the two things the power method cannot do:
@@ -60,11 +69,11 @@ struct PushConfig {
   /// satisfy the linear system — re-seeding from it would inject a
   /// dense spurious defect.
   bool normalize = true;
-  /// Optional trace hook (non-owning). Push has no sweep structure, so
-  /// the contract differs from the power-style solvers: one record per
-  /// num_rows() pushes — a sweep-equivalent — with the magnitude of the
-  /// residual just pushed as the residual proxy, plus a final record at
-  /// termination carrying the exit max-residual.
+  /// Optional trace hook (non-owning). Push sweeps only part of the
+  /// time, so the contract differs from the power-style solvers: one
+  /// record per num_rows() pushes — a sweep-equivalent — with the
+  /// magnitude of the residual just pushed as the residual proxy, plus a
+  /// final record at termination carrying the exit max-residual.
   obs::IterationTrace* trace = nullptr;
 };
 
@@ -77,13 +86,18 @@ struct PushResult {
   f64 seconds = 0.0;
 };
 
-/// Forward row accessor: row_of(u) serves row u of the operator as an
-/// OperatorRow whose spans stay valid until the next call.
+/// Forward BASE row accessor: row_of(u) serves row u of B (the matrix
+/// the plan reweights) as an OperatorRow whose spans stay valid until
+/// the next call. Any self entry it carries is ignored: the plan's
+/// diagonal replaces it.
 using RowAccessor = std::function<OperatorRow(NodeId)>;
 
 /// Continues a push solve from EXPLICIT (estimate, residual) state —
 /// the one push loop; the solves below start it at p = 0, r = c. The
-/// caller owns the invariant x = p + (1-alpha)(I - alpha*A^T)^{-1} r:
+/// operator is A = plan applied to the base rows `row_of` serves; only
+/// the plan's off_scale and diagonal are read (deficit mass is not
+/// redistributed, as in jacobi_solve). The caller owns the invariant
+/// x = p + (1-alpha)(I - alpha*A^T)^{-1} r:
 /// after a sparse topology or plan edit it adjusts r by the signed row
 /// deltas and hands the pair back here; work is then proportional to
 /// the injected residual mass, not the graph. When `residual_out` is
@@ -91,16 +105,16 @@ using RowAccessor = std::function<OperatorRow(NodeId)>;
 /// be carried into the next batch (pair with config.normalize = false —
 /// see the PushConfig field comment).
 PushResult push_continue(const PushConfig& config, std::vector<f64> estimate,
-                         std::vector<f64> residual, const RowAccessor& row_of,
+                         std::vector<f64> residual, const RowAffinePlan& plan,
+                         const RowAccessor& row_of,
                          std::vector<f64>* residual_out = nullptr);
 
 /// Full solve from scratch (p = 0, r = c) along direct CSR rows of
-/// `matrix` (no transpose).
+/// `matrix` (no transpose) under identity_plan(matrix).
 PushResult push_solve(const StochasticMatrix& matrix,
                       const PushConfig& config);
 
-/// Full solve along a ThrottledView's rows (throttled weights computed
-/// on the fly).
+/// Full solve along a ThrottledView: its base rows under its plan.
 PushResult push_solve(const ThrottledView& view, const PushConfig& config);
 
 }  // namespace srsr::rank

@@ -1,11 +1,10 @@
 #include "stream/dynamic_graph.hpp"
 
 #include <algorithm>
-#include <map>
+#include <cstddef>
 #include <set>
 #include <utility>
 
-#include "graph/builder.hpp"
 #include "util/check.hpp"
 
 namespace srsr::stream {
@@ -55,6 +54,7 @@ DynamicSourceGraph::DynamicSourceGraph(const graph::Graph& pages,
   row_stats_.self.assign(ns, 0.0);
   row_stats_.off.assign(ns, 0.0);
   row_stats_.empty.assign(ns, 0);
+  has_links_.assign(ns, 0);
   for (u32 s = 0; s < ns; ++s) derive_row(s);
 }
 
@@ -73,24 +73,25 @@ NodeId DynamicSourceGraph::source_of_page(NodeId page) const {
 
 /// Re-derives T' row s from the page graph, mirroring
 /// core::SourceGraph::build_matrix(consensus, with_self_edges = true)
-/// operation for operation so the two derivations can never drift:
-/// counts accumulate per sorted target id, the total sums in the same
-/// order, and a missing self entry is spliced in with weight 0.
+/// so the two derivations can never drift: entries in ascending target
+/// order, weights count / total, and a missing self entry spliced in
+/// with weight 0. The total is a sum of small integers, exact in f64,
+/// so it equals the static path's per-target accumulation bitwise.
 void DynamicSourceGraph::derive_row(NodeId s) {
   // Consensus counts: number of DISTINCT pages of s linking to each
   // target source (a page linking to three pages of s_j contributes 1).
-  std::map<NodeId, u32> counts;
-  std::vector<NodeId> targets_scratch;
+  // Each page appends its distinct targets; after one sort, a target's
+  // run length is its count.
+  auto& targets = targets_scratch_;
+  targets.clear();
   for (const NodeId p : source_pages_[s]) {
-    targets_scratch.clear();
-    for (const NodeId q : page_out_[p])
-      targets_scratch.push_back(page_source_[q]);
-    std::sort(targets_scratch.begin(), targets_scratch.end());
-    targets_scratch.erase(
-        std::unique(targets_scratch.begin(), targets_scratch.end()),
-        targets_scratch.end());
-    for (const NodeId t : targets_scratch) ++counts[t];
+    const auto page_begin = static_cast<std::ptrdiff_t>(targets.size());
+    for (const NodeId q : page_out_[p]) targets.push_back(page_source_[q]);
+    std::sort(targets.begin() + page_begin, targets.end());
+    targets.erase(std::unique(targets.begin() + page_begin, targets.end()),
+                  targets.end());
   }
+  std::sort(targets.begin(), targets.end());
 
   auto& cols = row_cols_[s];
   auto& weights = row_weights_[s];
@@ -98,39 +99,39 @@ void DynamicSourceGraph::derive_row(NodeId s) {
   cols.clear();
   weights.clear();
 
-  f64 total = 0.0;
-  bool has_self = false;
-  for (const auto& [t, c] : counts) {
-    total += static_cast<f64>(c);
-    has_self |= (t == s);
-  }
-
   f64 self_w = 0.0;
   f64 off_w = 0.0;
-  if (total <= 0.0) {
+  if (targets.empty()) {
     // No out-edges: the augmentation makes the source a pure self-loop.
     cols.push_back(s);
     weights.push_back(1.0);
     self_w = 1.0;
   } else {
-    bool self_inserted = has_self;
-    for (const auto& [t, c] : counts) {
-      if (!self_inserted && t > s) {
+    const f64 total = static_cast<f64>(targets.size());
+    bool self_seen = false;
+    for (std::size_t i = 0; i < targets.size();) {
+      const NodeId t = targets[i];
+      std::size_t j = i + 1;
+      while (j < targets.size() && targets[j] == t) ++j;
+      if (!self_seen && t > s) {
         cols.push_back(s);
         weights.push_back(0.0);
-        self_inserted = true;
+        self_seen = true;
       }
-      const f64 w = static_cast<f64>(c) / total;
+      self_seen |= (t == s);
+      const f64 w = static_cast<f64>(j - i) / total;
       cols.push_back(t);
       weights.push_back(w);
       (t == s ? self_w : off_w) += w;
+      i = j;
     }
-    if (!self_inserted) {
+    if (!self_seen) {
       cols.push_back(s);
       weights.push_back(0.0);
     }
   }
   row_entries_ += cols.size();
+  has_links_[s] = targets.empty() ? 0 : 1;
   // Augmented rows always hold at least the self entry, so `empty`
   // (ThrottleRowStats::of's no-entries-at-all flag) never fires here.
   row_stats_.self[s] = self_w;
@@ -194,6 +195,7 @@ DynamicSourceGraph::ApplyResult DynamicSourceGraph::apply(
           row_stats_.self.push_back(1.0);
           row_stats_.off.push_back(0.0);
           row_stats_.empty.push_back(0);
+          has_links_.push_back(0);
           ++result.new_sources;
         }
         const NodeId pid = num_pages();
@@ -248,22 +250,24 @@ rank::StochasticMatrix DynamicSourceGraph::materialize() const {
 }
 
 graph::Graph DynamicSourceGraph::topology() const {
+  // A linked row holds exactly its consensus targets (weight > 0) plus,
+  // when s has no natural self edge, the spliced weight-0 self entry. A
+  // link-less row is the augmented {s: 1.0} and contributes no edge —
+  // has_links_ tells it apart from a row whose pages link only home.
   const u32 ns = num_sources();
-  graph::GraphBuilder builder(ns);
-  std::vector<NodeId> targets_scratch;
+  std::vector<u64> offsets(static_cast<std::size_t>(ns) + 1, 0);
+  std::vector<NodeId> targets;
+  targets.reserve(row_entries_);
   for (u32 s = 0; s < ns; ++s) {
-    for (const NodeId p : source_pages_[s]) {
-      targets_scratch.clear();
-      for (const NodeId q : page_out_[p])
-        targets_scratch.push_back(page_source_[q]);
-      std::sort(targets_scratch.begin(), targets_scratch.end());
-      targets_scratch.erase(
-          std::unique(targets_scratch.begin(), targets_scratch.end()),
-          targets_scratch.end());
-      for (const NodeId t : targets_scratch) builder.add_edge(s, t);
+    if (has_links_[s]) {
+      const auto cs = row_cols_[s];
+      const auto ws = row_weights_[s];
+      for (std::size_t i = 0; i < cs.size(); ++i)
+        if (ws[i] > 0.0) targets.push_back(cs[i]);
     }
+    offsets[s + 1] = targets.size();
   }
-  return builder.build();
+  return graph::Graph(std::move(offsets), std::move(targets));
 }
 
 }  // namespace srsr::stream

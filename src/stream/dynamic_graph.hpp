@@ -89,13 +89,12 @@ class DynamicSourceGraph {
 
   /// The row store materialized as a matrix — bitwise identical to
   /// core::SourceGraph(pages, map).consensus_matrix(true) on the
-  /// equivalent static inputs. O(V + E); diagnostics, tests, and the
-  /// full-resolve fallback path.
+  /// equivalent static inputs. O(V + E); diagnostics and tests.
   rank::StochasticMatrix materialize() const;
 
   /// Source-level topology (consensus count > 0 edges, natural self
-  /// edges only — no augmentation), rebuilt on demand in O(pages +
-  /// page-edges): what spam-proximity walks consume.
+  /// edges only — no augmentation), read off the row store in
+  /// O(V + nnz): what spam-proximity walks consume.
   graph::Graph topology() const;
 
  private:
@@ -115,6 +114,11 @@ class DynamicSourceGraph {
   std::vector<std::vector<f64>> row_weights_;
   core::ThrottleRowStats row_stats_;
   u64 row_entries_ = 0;
+  /// 1 when some page of the source has an out-link. The row store
+  /// alone cannot say: a link-less source and one whose pages link only
+  /// to its own host both have the row {s: 1.0}.
+  std::vector<u8> has_links_;
+  std::vector<NodeId> targets_scratch_;  // derive_row's count buffer
 };
 
 }  // namespace srsr::stream

@@ -13,8 +13,7 @@ namespace {
 
 /// Entry (row, col) of T'' for the row store's T' weight `w` under
 /// `plan`: the diagonal is overridden wholesale, off-diagonal weights
-/// rescaled. The one formula the push rows and the residual injection
-/// both read, so the two sides of the invariant can never disagree.
+/// rescaled — the same map push_continue applies to the rows it reads.
 f64 throttled_weight(const rank::RowAffinePlan& plan, NodeId row, NodeId col,
                      f64 w) {
   return col == row ? plan.diagonal[row] : plan.off_scale[row] * w;
@@ -98,16 +97,10 @@ UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
   for (const f64 v : r_) seed_mass += std::abs(v);
   outcome.seed_mass = seed_mass;
 
-  // T'' rows computed on read from the row store and the current plan:
-  // nothing materialized, nothing owned.
-  std::vector<f64> weights;
+  // Push reads T' rows straight from the row store and applies the
+  // current plan itself: nothing materialized, nothing copied.
   const rank::RowAccessor row_of = [&](NodeId u) {
-    const auto cs = graph_->row_cols(u);
-    const auto ws = graph_->row_weights(u);
-    weights.resize(cs.size());
-    for (std::size_t i = 0; i < cs.size(); ++i)
-      weights[i] = throttled_weight(plan_, u, cs[i], ws[i]);
-    return rank::OperatorRow{cs, weights};
+    return rank::OperatorRow{graph_->row_cols(u), graph_->row_weights(u)};
   };
   rank::PushConfig push;
   push.alpha = config_.alpha;
@@ -125,8 +118,8 @@ UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
     // delta never gets near it.
     push.max_pushes = config_.max_delta_pushes != 0 ? config_.max_delta_pushes
                                                     : 512 * n + 4096;
-    result = rank::push_continue(push, std::move(p_), std::move(r_), row_of,
-                                 &residual);
+    result = rank::push_continue(push, std::move(p_), std::move(r_), plan_,
+                                 row_of, &residual);
     if (result.converged) {
       p_ = std::move(result.scores);
       r_ = std::move(residual);
@@ -141,8 +134,8 @@ UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
   if (need_cold) {
     seed_cold();
     push.max_pushes = 0;
-    result = rank::push_continue(push, std::move(p_), std::move(r_), row_of,
-                                 &residual);
+    result = rank::push_continue(push, std::move(p_), std::move(r_), plan_,
+                                 row_of, &residual);
     p_ = std::move(result.scores);
     r_ = std::move(residual);
   }

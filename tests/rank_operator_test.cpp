@@ -96,51 +96,57 @@ TEST(ThrottledView, PullMatchesDenseReference) {
   EXPECT_NEAR(deficits[3], 1.0, 1e-15);
 }
 
-TEST(ThrottledView, RowOverridesDiagonalInPlace) {
-  const auto base = sample();
-  const auto t = base.transpose();
-  const ThrottledView view(base, t, half_plan());
-  std::vector<NodeId> cols_scratch;
-  std::vector<f64> weights_scratch;
-  const OperatorRow row = view.row(0, cols_scratch, weights_scratch);
-  ASSERT_EQ(row.cols.size(), 3u);
-  EXPECT_EQ(row.cols[0], 0u);
-  EXPECT_DOUBLE_EQ(row.weights[0], 0.5);           // overridden diagonal
-  EXPECT_DOUBLE_EQ(row.weights[1], 0.5 * 0.625);   // rescaled
-  EXPECT_DOUBLE_EQ(row.weights[2], 0.3 * 0.625);
-
-  // Under the identity plan every row is the base row, columns served
-  // straight from the base CSR (no splice, even on the self-less and
-  // dangling rows).
-  const auto ibase = identity_sample();
-  const auto it = ibase.transpose();
-  const ThrottledView identity(ibase, it, identity_plan(ibase));
-  for (NodeId u = 0; u < ibase.num_rows(); ++u) {
-    const OperatorRow irow = identity.row(u, cols_scratch, weights_scratch);
-    EXPECT_EQ(irow.cols.data(), ibase.row_cols(u).data());
-    ASSERT_EQ(irow.weights.size(), ibase.row_weights(u).size());
-    for (std::size_t i = 0; i < irow.weights.size(); ++i)
-      EXPECT_EQ(irow.weights[i], ibase.row_weights(u)[i]);
+// Push reads base rows and applies the plan itself: over the view it
+// must solve the same system as over the materialized A.
+void expect_push_matches(const ThrottledView& view,
+                         const StochasticMatrix& materialized) {
+  PushConfig pc;
+  pc.epsilon = 1e-15;
+  const PushResult via_view = push_solve(view, pc);
+  const PushResult via_matrix = push_solve(materialized, pc);
+  ASSERT_TRUE(via_view.converged);
+  ASSERT_TRUE(via_matrix.converged);
+  SolverConfig sc;
+  sc.convergence.tolerance = 1e-14;
+  const RankResult jacobi = jacobi_solve(materialized, sc);
+  for (NodeId v = 0; v < view.num_rows(); ++v) {
+    EXPECT_NEAR(via_view.scores[v], via_matrix.scores[v], 1e-14);
+    EXPECT_NEAR(via_view.scores[v], jacobi.scores[v], 1e-10);
   }
 }
 
-TEST(ThrottledView, RowSplicesMissingDiagonalKeepingColumnsSorted) {
-  // Row 0 has no self entry; a nonzero diagonal must be spliced first.
+TEST(ThrottledView, PushOverridesDiagonalInPlace) {
+  const auto base = sample();
+  const auto t = base.transpose();
+  const ThrottledView view(base, t, half_plan());
+  // half_plan() applied to sample(): diagonal overridden, row 0's
+  // off-diagonal entries rescaled by 0.625.
+  const StochasticMatrix throttled({0, 3, 4, 5}, {0, 1, 2, 1, 2},
+                                   {0.5, 0.5 * 0.625, 0.3 * 0.625, 1.0, 1.0});
+  expect_push_matches(view, throttled);
+
+  // Under the identity plan the view is the base matrix itself, self-less
+  // and dangling rows included: the same rows under the same plan.
+  const auto ibase = identity_sample();
+  const auto it = ibase.transpose();
+  const ThrottledView identity(ibase, it, identity_plan(ibase));
+  PushConfig pc;
+  pc.epsilon = 1e-15;
+  EXPECT_EQ(push_solve(identity, pc).scores, push_solve(ibase, pc).scores);
+}
+
+TEST(ThrottledView, PushHonorsDiagonalMissingFromBase) {
+  // Row 0 has no self entry; the plan gives it a 0.5 diagonal. Row 1's
+  // base self entry is overridden to 0.
   const StochasticMatrix base({0, 1, 3}, {1, 0, 1}, {1.0, 0.5, 0.5});
   const auto t = base.transpose();
   RowAffinePlan plan;
   plan.off_scale = {0.5, 1.0};
   plan.diagonal = {0.5, 0.0};
-  plan.deficit = {0.0, 0.0};
+  plan.deficit = {0.0, 0.5};
   const ThrottledView view(base, t, std::move(plan));
-  std::vector<NodeId> cols_scratch;
-  std::vector<f64> weights_scratch;
-  const OperatorRow row = view.row(0, cols_scratch, weights_scratch);
-  ASSERT_EQ(row.cols.size(), 2u);
-  EXPECT_EQ(row.cols[0], 0u);
-  EXPECT_EQ(row.cols[1], 1u);
-  EXPECT_DOUBLE_EQ(row.weights[0], 0.5);
-  EXPECT_DOUBLE_EQ(row.weights[1], 0.5);
+  const StochasticMatrix spliced({0, 2, 3}, {0, 1, 0}, {0.5, 0.5, 0.5});
+  expect_push_matches(view, spliced);
 }
 
 TEST(ThrottledView, ResetPlanSwapsConfigurations) {

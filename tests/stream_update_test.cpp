@@ -315,35 +315,74 @@ TEST(DynamicSourceGraph, AddPageGrowsSourcesAndKeepsParity) {
   expect_bitwise_parity(graph, shadow, "linked growth");
 }
 
-TEST(DynamicSourceGraph, TopologyMatchesStaticSourceGraph) {
-  const auto corpus = small_corpus(25, 13);
-  const core::SourceMap map(corpus.page_source);
-  DynamicSourceGraph graph(corpus.pages, map, corpus.source_hosts);
-  EdgeStream stream(graph.num_pages());
-  stream.insert_link(corpus.source_first_page[1], corpus.source_first_page[7]);
-  stream.insert_link(corpus.source_first_page[3], corpus.source_first_page[1]);
-  const auto batch = stream.commit();
-  graph.apply(batch);
-
-  auto shadow = Shadow::of(corpus);
-  shadow.mirror(batch, graph);
+void expect_topology_parity(const DynamicSourceGraph& graph,
+                            const Shadow& shadow, const std::string& where) {
   graph::GraphBuilder builder(static_cast<NodeId>(shadow.out.size()));
   for (NodeId p = 0; p < shadow.out.size(); ++p)
     for (const NodeId q : shadow.out[p]) builder.add_edge(p, q);
   const auto pages = builder.build();
-  const core::SourceMap map2(shadow.page_source);
-  const core::SourceGraph sg(pages, map2);
+  const core::SourceMap map(shadow.page_source);
+  const core::SourceGraph sg(pages, map);
+  EXPECT_EQ(graph.topology(), sg.topology()) << where;
+}
 
-  const auto topo = graph.topology();
-  ASSERT_EQ(topo.num_nodes(), sg.topology().num_nodes());
-  ASSERT_EQ(topo.num_edges(), sg.topology().num_edges());
-  for (NodeId s = 0; s < topo.num_nodes(); ++s) {
-    const auto a = topo.out_neighbors(s);
-    const auto b = sg.topology().out_neighbors(s);
-    ASSERT_EQ(a.size(), b.size()) << "source " << s;
-    for (std::size_t i = 0; i < a.size(); ++i)
-      EXPECT_EQ(a[i], b[i]) << "source " << s;
-  }
+TEST(DynamicSourceGraph, TopologyMatchesStaticSourceGraph) {
+  // The topology is read off the row store, where a link-less source and
+  // a source linking only to its own host share the row {s: 1.0}: only
+  // the second has the natural self edge s -> s.
+  const auto corpus = small_corpus(25, 13);
+  const core::SourceMap map(corpus.page_source);
+  DynamicSourceGraph graph(corpus.pages, map, corpus.source_hosts);
+  auto shadow = Shadow::of(corpus);
+  EdgeStream stream(graph.num_pages());
+  expect_topology_parity(graph, shadow, "seed");
+
+  const auto pages_of = [&](NodeId s) {
+    std::vector<NodeId> out;
+    for (NodeId p = 0; p < shadow.out.size(); ++p)
+      if (shadow.page_source[p] == s) out.push_back(p);
+    return out;
+  };
+  const auto strip = [&](NodeId s) {
+    for (const NodeId p : pages_of(s))
+      for (const NodeId q : shadow.out[p]) stream.erase_link(p, q);
+  };
+  const auto commit = [&] {
+    const auto batch = stream.commit();
+    graph.apply(batch);
+    shadow.mirror(batch, graph);
+  };
+
+  constexpr NodeId kSelfOnly = 2, kLinkless = 4, kLastLink = 6;
+  stream.insert_link(corpus.source_first_page[1], corpus.source_first_page[7]);
+  stream.insert_link(corpus.source_first_page[3], corpus.source_first_page[1]);
+  // Self-only: every page's links replaced by one link home.
+  strip(kSelfOnly);
+  const NodeId home = corpus.source_first_page[kSelfOnly];
+  stream.insert_link(home, home);
+  strip(kLinkless);
+  // All out-links but one go now; the last goes in the next batch.
+  strip(kLastLink);
+  const NodeId last_from = corpus.source_first_page[kLastLink];
+  stream.insert_link(last_from, corpus.source_first_page[9]);
+  // A brand-new host linked in the batch that creates it.
+  const NodeId fresh_page = stream.add_page("fresh.example");
+  stream.insert_link(fresh_page, corpus.source_first_page[5]);
+  commit();
+  ASSERT_EQ(graph.row_cols(kSelfOnly).size(), 1u);
+  ASSERT_EQ(graph.row_cols(kLinkless).size(), 1u);
+  EXPECT_EQ(graph.row_weights(kSelfOnly)[0], 1.0);
+  EXPECT_EQ(graph.row_weights(kLinkless)[0], 1.0);
+  EXPECT_TRUE(graph.topology().has_edge(kSelfOnly, kSelfOnly));
+  EXPECT_EQ(graph.topology().out_degree(kLinkless), 0u);
+  const NodeId fresh = *graph.source_id("fresh.example");
+  EXPECT_EQ(graph.topology().out_degree(fresh), 1u);
+  expect_topology_parity(graph, shadow, "first batch");
+
+  stream.erase_link(last_from, corpus.source_first_page[9]);
+  commit();
+  EXPECT_EQ(graph.topology().out_degree(kLastLink), 0u);
+  expect_topology_parity(graph, shadow, "last link erased");
 }
 
 TEST(DynamicSourceGraph, RejectsOutOfRangeBatch) {

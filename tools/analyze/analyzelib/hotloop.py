@@ -5,10 +5,9 @@ The solver kernels live inside `// srsr:hot <label>` ...
 allocator is flagged: `new`, owning-container construction,
 growth-capable `push_back`/`emplace_back`/`insert`/`resize`/`reserve`,
 `make_unique`/`make_shared`, and std::string temporaries. The fenced
-kernels are the per-iteration pull/push loops and row synthesis —
-the layers whose zero-steady-state-allocation property the
-micro_kernels bench measures; this pass keeps the property true
-between bench runs.
+kernels are the per-iteration pull/push loops — the layers whose
+zero-steady-state-allocation property the micro_kernels bench
+measures; this pass keeps the property true between bench runs.
 
 Fences must be properly closed and may not nest. The pass fails if the
 tree contains no fences at all — that means someone deleted the
