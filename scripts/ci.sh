@@ -38,14 +38,21 @@ stage "dynamic serve end-to-end (srsr_cli serve --dynamic)"
 # The stream subsystem driven exactly as a deployment would: stage
 # page-level link edits over the update protocol, commit, and require
 # the publish to ride the warm DELTA path — a fresh epoch without a
-# full re-solve — with the dynamic counters surfaced in stats.
-DYN_OUT=$(printf 'update status\nupdate link 0 1\nupdate unlink 0 1\nupdate link 2 3\nupdate page crawl-new.example\nupdate commit\nstats\nupdate status\nquit\n' \
+# full re-solve — with the dynamic counters surfaced in stats. A second
+# commit then links from the page the first one added, which lives only
+# in the page store's edit overlay; it must publish epoch 3 the same way.
+NEW_PAGE=$(printf 'update status\nquit\n' \
+  | ./build/tools/srsr_cli serve --in "$SERVE_DIR" --dynamic \
+  | sed -nE 's/^pending 0, pages ([0-9]+), .*/\1/p')
+DYN_OUT=$(printf 'update status\nupdate link 0 1\nupdate unlink 0 1\nupdate link 2 3\nupdate page crawl-new.example\nupdate commit\nstats\nupdate status\nupdate link %s 0\nupdate commit\nquit\n' "$NEW_PAGE" \
   | ./build/tools/srsr_cli serve --in "$SERVE_DIR" --dynamic)
 echo "$DYN_OUT"
 echo "$DYN_OUT" | grep -q "serve ready: 200 sources, epoch 1.*dynamic" \
   || { echo "ci: dynamic serve did not come up" >&2; exit 1; }
 echo "$DYN_OUT" | grep -qE "^published epoch 2 \(delta, [0-9]+ pushes, [0-9]+ dirty rows, converged, [0-9]+ mutations\)$" \
   || { echo "ci: dynamic serve commit did not publish via the delta path" >&2; exit 1; }
+echo "$DYN_OUT" | grep -qE "^published epoch 3 \(delta, [0-9]+ pushes, 1 dirty rows, converged, 1 mutations\)$" \
+  || { echo "ci: dynamic serve link from an added page did not publish via the delta path" >&2; exit 1; }
 echo "$DYN_OUT" | grep -qE "queue_depth [0-9]+, coalesced_batches [0-9]+, mutations [0-9]+, last_path delta, last_pushes [0-9]+" \
   || { echo "ci: dynamic serve stats missing stream fields" >&2; exit 1; }
 echo "$DYN_OUT" | grep -qE "^pending 0, pages [0-9]+, sources 20[01], queue_depth 0$" \

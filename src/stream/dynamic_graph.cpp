@@ -2,17 +2,26 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <set>
 #include <utility>
 
 #include "util/check.hpp"
 
 namespace srsr::stream {
 
+namespace {
+
+/// apply() folds the page overlay into a fresh CSR base once it holds
+/// more than 1/kOverlayDivisor of the base's pages.
+constexpr NodeId kOverlayDivisor = 16;
+
+}  // namespace
+
 DynamicSourceGraph::DynamicSourceGraph(const graph::Graph& pages,
                                        const core::SourceMap& map,
                                        std::vector<std::string> hosts)
-    : hosts_(std::move(hosts)) {
+    : base_(pages), page_source_(map.page_source()), hosts_(std::move(hosts)) {
+  // graph::Graph guarantees sorted, distinct out-neighbors per page, so
+  // the base is a plain copy of the seed CSR.
   SRSR_CHECK(pages.num_nodes() == map.num_pages(),
              "DynamicSourceGraph: page graph and source map disagree on "
              "page count");
@@ -31,30 +40,17 @@ DynamicSourceGraph::DynamicSourceGraph(const graph::Graph& pages,
   host_ids_.reserve(hosts_.size());
   for (u32 s = 0; s < ns; ++s) {
     const bool inserted = host_ids_.emplace(hosts_[s], s).second;
-    check(inserted, "DynamicSourceGraph: duplicate host name '" + hosts_[s] +
-                        "' — host names key page additions");
+    SRSR_CHECK(inserted, "DynamicSourceGraph: duplicate host name '",
+               hosts_[s], "' — host names key page additions");
   }
 
-  page_source_ = map.page_source();
-  source_pages_.resize(ns);
-  for (NodeId p = 0; p < map.num_pages(); ++p)
-    source_pages_[page_source_[p]].push_back(p);
-
-  page_out_.resize(pages.num_nodes());
-  for (NodeId p = 0; p < pages.num_nodes(); ++p) {
-    const auto nbrs = pages.out_neighbors(p);
-    auto& row = page_out_[p];
-    row.assign(nbrs.begin(), nbrs.end());
-    std::sort(row.begin(), row.end());
-    row.erase(std::unique(row.begin(), row.end()), row.end());
-  }
-
-  row_cols_.resize(ns);
-  row_weights_.resize(ns);
+  row_begin_.assign(ns, 0);
+  row_len_.assign(ns, 0);
   row_stats_.self.assign(ns, 0.0);
   row_stats_.off.assign(ns, 0.0);
   row_stats_.empty.assign(ns, 0);
   has_links_.assign(ns, 0);
+  index_source_pages();
   for (u32 s = 0; s < ns; ++s) derive_row(s);
 }
 
@@ -71,6 +67,49 @@ NodeId DynamicSourceGraph::source_of_page(NodeId page) const {
   return page_source_[page];
 }
 
+DynamicSourceGraph::Storage DynamicSourceGraph::storage() const {
+  Storage out;
+  out.arena_entries = cols_.size();
+  out.page_folds = page_folds_;
+  out.arena_compactions = arena_compactions_;
+  return out;
+}
+
+std::span<const NodeId> DynamicSourceGraph::page_out(NodeId p) const {
+  if (!page_overlay_.empty()) {
+    const auto it = page_overlay_.find(p);
+    if (it != page_overlay_.end()) return it->second;
+  }
+  SRSR_DCHECK(p < base_.num_nodes(),
+              "DynamicSourceGraph: page ", p, " is in neither store");
+  return base_.out_neighbors(p);
+}
+
+std::vector<NodeId>& DynamicSourceGraph::page_out_for_edit(NodeId p) {
+  const auto [it, inserted] = page_overlay_.try_emplace(p);
+  if (inserted) {
+    const auto nbrs = base_.out_neighbors(p);
+    it->second.assign(nbrs.begin(), nbrs.end());
+  }
+  return it->second;
+}
+
+/// Rebuilds the source -> pages CSR from page_source_ (pages ascending
+/// per source) and empties the source overlay it now covers.
+void DynamicSourceGraph::index_source_pages() {
+  const u32 ns = num_sources();
+  source_page_offsets_.assign(static_cast<std::size_t>(ns) + 1, 0);
+  for (const NodeId s : page_source_) ++source_page_offsets_[s + 1];
+  for (u32 s = 0; s < ns; ++s)
+    source_page_offsets_[s + 1] += source_page_offsets_[s];
+  std::vector<u64> cursor(source_page_offsets_.begin(),
+                          source_page_offsets_.end() - 1);
+  source_page_ids_.resize(page_source_.size());
+  for (NodeId p = 0; p < num_pages(); ++p)
+    source_page_ids_[cursor[page_source_[p]]++] = p;
+  source_overlay_ = {};
+}
+
 /// Re-derives T' row s from the page graph, mirroring
 /// core::SourceGraph::build_matrix(consensus, with_self_edges = true)
 /// so the two derivations can never drift: entries in ascending target
@@ -84,21 +123,27 @@ void DynamicSourceGraph::derive_row(NodeId s) {
   // run length is its count.
   auto& targets = targets_scratch_;
   targets.clear();
-  for (const NodeId p : source_pages_[s]) {
+  const auto add_page = [&](NodeId p) {
     const auto page_begin = static_cast<std::ptrdiff_t>(targets.size());
-    for (const NodeId q : page_out_[p]) targets.push_back(page_source_[q]);
+    for (const NodeId q : page_out(p)) targets.push_back(page_source_[q]);
     std::sort(targets.begin() + page_begin, targets.end());
     targets.erase(std::unique(targets.begin() + page_begin, targets.end()),
                   targets.end());
+  };
+  if (s + 1 < source_page_offsets_.size())
+    for (u64 i = source_page_offsets_[s]; i < source_page_offsets_[s + 1]; ++i)
+      add_page(source_page_ids_[i]);
+  if (!source_overlay_.empty()) {
+    const auto it = source_overlay_.find(s);
+    if (it != source_overlay_.end())
+      for (const NodeId p : it->second) add_page(p);
   }
   std::sort(targets.begin(), targets.end());
 
-  auto& cols = row_cols_[s];
-  auto& weights = row_weights_[s];
-  row_entries_ -= cols.size();
+  auto& cols = cols_scratch_;
+  auto& weights = weights_scratch_;
   cols.clear();
   weights.clear();
-
   f64 self_w = 0.0;
   f64 off_w = 0.0;
   if (targets.empty()) {
@@ -130,7 +175,20 @@ void DynamicSourceGraph::derive_row(NodeId s) {
       weights.push_back(0.0);
     }
   }
-  row_entries_ += cols.size();
+
+  // In place when the row did not grow, else appended to the arena.
+  const auto len = static_cast<u32>(cols.size());
+  if (len > row_len_[s]) row_begin_[s] = cols_.size();
+  const u64 end = row_begin_[s] + len;
+  if (end > cols_.size()) {
+    cols_.resize(end);
+    weights_.resize(end);
+  }
+  std::copy(cols.begin(), cols.end(), cols_.begin() + row_begin_[s]);
+  std::copy(weights.begin(), weights.end(), weights_.begin() + row_begin_[s]);
+  row_entries_ = row_entries_ - row_len_[s] + len;
+  row_len_[s] = len;
+
   has_links_[s] = targets.empty() ? 0 : 1;
   // Augmented rows always hold at least the self entry, so `empty`
   // (ThrottleRowStats::of's no-entries-at-all flag) never fires here.
@@ -139,11 +197,47 @@ void DynamicSourceGraph::derive_row(NodeId s) {
   row_stats_.empty[s] = 0;
 }
 
+/// Writes every page into a fresh CSR base, in page id order.
+void DynamicSourceGraph::fold_page_overlay() {
+  const NodeId n = num_pages();
+  std::vector<u64> offsets(static_cast<std::size_t>(n) + 1, 0);
+  for (NodeId p = 0; p < n; ++p)
+    offsets[p + 1] = offsets[p] + page_out(p).size();
+  std::vector<NodeId> targets(offsets[n]);
+  for (NodeId p = 0; p < n; ++p) {
+    const auto out = page_out(p);
+    std::copy(out.begin(), out.end(), targets.begin() + offsets[p]);
+  }
+  page_overlay_ = {};
+  base_ = graph::Graph(std::move(offsets), std::move(targets));
+  index_source_pages();
+  ++page_folds_;
+}
+
+/// Rewrites the live rows back to back in row order.
+void DynamicSourceGraph::compact_arena() {
+  std::vector<NodeId> cols;
+  std::vector<f64> weights;
+  cols.reserve(row_entries_);
+  weights.reserve(row_entries_);
+  for (NodeId s = 0; s < num_sources(); ++s) {
+    const auto rc = row_cols(s);
+    const auto rw = row_weights(s);
+    row_begin_[s] = cols.size();
+    cols.insert(cols.end(), rc.begin(), rc.end());
+    weights.insert(weights.end(), rw.begin(), rw.end());
+  }
+  cols_ = std::move(cols);
+  weights_ = std::move(weights);
+  ++arena_compactions_;
+}
+
 DynamicSourceGraph::ApplyResult DynamicSourceGraph::apply(
     const UpdateBatch& batch) {
   ApplyResult result;
-  // Deterministic dirty set: ordered, deduplicated.
-  std::set<NodeId> dirty;
+  // Deterministic dirty set: every touched row, then sorted and
+  // deduplicated.
+  std::vector<NodeId>& dirty = result.dirty;
   const u32 ns_before = num_sources();
 
   for (const Mutation& m : batch.mutations) {
@@ -154,24 +248,20 @@ DynamicSourceGraph::ApplyResult DynamicSourceGraph::apply(
                    "DynamicSourceGraph: link (", m.u, " -> ", m.v,
                    ") references a page outside [0, ", num_pages(),
                    ") — was the batch committed against this graph?");
-        auto& row = page_out_[m.u];
-        const auto it = std::lower_bound(row.begin(), row.end(), m.v);
-        const bool present = it != row.end() && *it == m.v;
-        if (m.kind == MutationKind::kInsertLink) {
-          if (present) {
-            ++result.noops;
-            break;
-          }
-          row.insert(it, m.v);
-        } else {
-          if (!present) {
-            ++result.noops;
-            break;
-          }
-          row.erase(it);
+        const auto out = page_out(m.u);
+        const bool insert = m.kind == MutationKind::kInsertLink;
+        if (std::binary_search(out.begin(), out.end(), m.v) == insert) {
+          ++result.noops;
+          break;
         }
+        auto& row = page_out_for_edit(m.u);
+        const auto it = std::lower_bound(row.begin(), row.end(), m.v);
+        if (insert)
+          row.insert(it, m.v);
+        else
+          row.erase(it);
         ++result.applied;
-        dirty.insert(page_source_[m.u]);
+        dirty.push_back(page_source_[m.u]);
         break;
       }
       case MutationKind::kAddPage: {
@@ -185,12 +275,13 @@ DynamicSourceGraph::ApplyResult DynamicSourceGraph::apply(
           sid = static_cast<NodeId>(num_sources());
           host_ids_.emplace(m.host, sid);
           hosts_.push_back(m.host);
-          source_pages_.emplace_back();
           // The new source starts page-less and link-less: its
           // augmented row is a pure self-loop (weight 1), exactly what
           // derive_row computes for an empty source.
-          row_cols_.push_back({sid});
-          row_weights_.push_back({1.0});
+          row_begin_.push_back(cols_.size());
+          row_len_.push_back(1);
+          cols_.push_back(sid);
+          weights_.push_back(1.0);
           row_entries_ += 1;
           row_stats_.self.push_back(1.0);
           row_stats_.off.push_back(0.0);
@@ -199,9 +290,9 @@ DynamicSourceGraph::ApplyResult DynamicSourceGraph::apply(
           ++result.new_sources;
         }
         const NodeId pid = num_pages();
-        page_out_.emplace_back();
+        page_overlay_.try_emplace(pid);
         page_source_.push_back(sid);
-        source_pages_[sid].push_back(pid);
+        source_overlay_[sid].push_back(pid);
         ++result.applied;
         // A link-less page changes no consensus count; the owning row
         // only becomes dirty when a later mutation links from it.
@@ -210,25 +301,27 @@ DynamicSourceGraph::ApplyResult DynamicSourceGraph::apply(
     }
   }
 
-  result.dirty.reserve(dirty.size());
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  result.old_offsets.reserve(dirty.size() + 1);
   for (const NodeId s : dirty) {
-    RowDelta d;
-    d.row = s;
-    row_entries_ -= row_cols_[s].size();
-    d.old_cols = std::move(row_cols_[s]);
-    d.old_weights = std::move(row_weights_[s]);
-    if (s >= ns_before) {
-      // Created AND linked within this batch: the pre-batch row did not
-      // exist, and the self-loop seeded at creation was never visible
-      // to the ranker either — report it as empty.
-      d.old_cols.clear();
-      d.old_weights.clear();
+    // A row created AND linked within this batch did not exist before
+    // it, and the self-loop seeded at creation was never visible to the
+    // ranker either — report it as empty.
+    if (s < ns_before) {
+      const auto cols = row_cols(s);
+      const auto weights = row_weights(s);
+      result.old_cols.insert(result.old_cols.end(), cols.begin(), cols.end());
+      result.old_weights.insert(result.old_weights.end(), weights.begin(),
+                                weights.end());
     }
-    row_cols_[s].clear();
-    row_weights_[s].clear();
+    result.old_offsets.push_back(result.old_cols.size());
     derive_row(s);
-    result.dirty.push_back(std::move(d));
   }
+
+  if (page_overlay_.size() > base_.num_nodes() / kOverlayDivisor)
+    fold_page_overlay();
+  if (cols_.size() - row_entries_ > row_entries_) compact_arena();
   return result;
 }
 
@@ -240,9 +333,10 @@ rank::StochasticMatrix DynamicSourceGraph::materialize() const {
   cols.reserve(row_entries_);
   weights.reserve(row_entries_);
   for (u32 s = 0; s < ns; ++s) {
-    cols.insert(cols.end(), row_cols_[s].begin(), row_cols_[s].end());
-    weights.insert(weights.end(), row_weights_[s].begin(),
-                   row_weights_[s].end());
+    const auto rc = row_cols(s);
+    const auto rw = row_weights(s);
+    cols.insert(cols.end(), rc.begin(), rc.end());
+    weights.insert(weights.end(), rw.begin(), rw.end());
     offsets[s + 1] = cols.size();
   }
   return rank::StochasticMatrix(std::move(offsets), std::move(cols),
@@ -260,8 +354,8 @@ graph::Graph DynamicSourceGraph::topology() const {
   targets.reserve(row_entries_);
   for (u32 s = 0; s < ns; ++s) {
     if (has_links_[s]) {
-      const auto cs = row_cols_[s];
-      const auto ws = row_weights_[s];
+      const auto cs = row_cols(s);
+      const auto ws = row_weights(s);
       for (std::size_t i = 0; i < cs.size(); ++i)
         if (ws[i] > 0.0) targets.push_back(cs[i]);
     }

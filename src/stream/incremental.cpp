@@ -184,17 +184,17 @@ UpdateOutcome IncrementalRanker::apply(const UpdateBatch& batch) {
   grow_state(old_sources);
   // 2. Subtract each dirty row's OLD contribution under the OLD plan
   //    (rows born this batch have p = 0 and contribute nothing).
-  for (const DynamicSourceGraph::RowDelta& d : applied.dirty)
-    inject_row(d.row, d.old_cols, d.old_weights, plan_, -1.0);
+  for (std::size_t i = 0; i < applied.dirty.size(); ++i)
+    inject_row(applied.dirty[i], applied.old_row_cols(i),
+               applied.old_row_weights(i), plan_, -1.0);
   // 3. Recompute the throttle plan against the repaired row stats.
   //    Unchanged rows' plan entries are bitwise identical (the plan is
   //    a deterministic per-row function of stats + kappa), so only the
   //    dirty rows' contributions actually moved.
   plan_ = core::make_throttle_plan(graph_->row_stats(), kappa_, config_.mode);
   // 4. Add each dirty row's NEW contribution under the NEW plan.
-  for (const DynamicSourceGraph::RowDelta& d : applied.dirty)
-    inject_row(d.row, graph_->row_cols(d.row), graph_->row_weights(d.row),
-               plan_, 1.0);
+  for (const NodeId s : applied.dirty)
+    inject_row(s, graph_->row_cols(s), graph_->row_weights(s), plan_, 1.0);
 
   outcome = solve(std::move(outcome));
   outcome.seconds = timer.seconds();

@@ -20,6 +20,7 @@
 #include "graph/webgen.hpp"
 #include "stream/dynamic_graph.hpp"
 #include "stream/edge_stream.hpp"
+#include "util/check.hpp"
 #include "util/common.hpp"
 #include "util/rng.hpp"
 
@@ -249,7 +250,7 @@ TEST(DynamicSourceGraph, OutDegreeDroppingToZeroBecomesPureSelfLoop) {
   const auto result = graph.apply(batch);
   shadow.mirror(batch, graph);
   ASSERT_EQ(result.dirty.size(), 1u);
-  EXPECT_EQ(result.dirty[0].row, 5u);
+  EXPECT_EQ(result.dirty[0], 5u);
   ASSERT_EQ(graph.row_cols(5).size(), 1u);
   EXPECT_EQ(graph.row_cols(5)[0], 5u);
   EXPECT_EQ(graph.row_weights(5)[0], 1.0);
@@ -276,9 +277,13 @@ TEST(DynamicSourceGraph, ApplyReportsPreEditRowsAndNoops) {
   EXPECT_EQ(result.applied, 1u);
   EXPECT_GE(result.noops, 1u);
   ASSERT_EQ(result.dirty.size(), 1u);
-  EXPECT_EQ(result.dirty[0].row, 4u);
-  EXPECT_EQ(result.dirty[0].old_cols, before_cols);
-  EXPECT_EQ(result.dirty[0].old_weights, before_weights);
+  EXPECT_EQ(result.dirty[0], 4u);
+  const auto old_cols = result.old_row_cols(0);
+  const auto old_weights = result.old_row_weights(0);
+  EXPECT_EQ(std::vector<NodeId>(old_cols.begin(), old_cols.end()),
+            before_cols);
+  EXPECT_EQ(std::vector<f64>(old_weights.begin(), old_weights.end()),
+            before_weights);
 }
 
 TEST(DynamicSourceGraph, AddPageGrowsSourcesAndKeepsParity) {
@@ -311,7 +316,7 @@ TEST(DynamicSourceGraph, AddPageGrowsSourcesAndKeepsParity) {
   shadow.mirror(link, graph);
   EXPECT_EQ(linked.new_sources, 0u);
   ASSERT_EQ(linked.dirty.size(), 1u);
-  EXPECT_EQ(linked.dirty[0].row, fresh);
+  EXPECT_EQ(linked.dirty[0], fresh);
   expect_bitwise_parity(graph, shadow, "linked growth");
 }
 
@@ -383,6 +388,108 @@ TEST(DynamicSourceGraph, TopologyMatchesStaticSourceGraph) {
   commit();
   EXPECT_EQ(graph.topology().out_degree(kLastLink), 0u);
   expect_topology_parity(graph, shadow, "last link erased");
+}
+
+TEST(DynamicSourceGraph, RandomizedEditsCrossBothCompactionThresholds) {
+  // Enough churn on a small corpus to fold the page overlay into a new
+  // CSR base and compact the row arena, several times over: pages
+  // emptied and re-linked, hosts and pages added past the CSR base, and
+  // full parity with the static derivation after every batch.
+  const auto corpus = small_corpus(60, 31);
+  const core::SourceMap map(corpus.page_source);
+  DynamicSourceGraph graph(corpus.pages, map, corpus.source_hosts);
+  auto shadow = Shadow::of(corpus);
+  EdgeStream stream(graph.num_pages());
+  Pcg32 rng(2024);
+  std::vector<NodeId> emptied;  // pages stripped last round, to re-link
+  u32 new_hosts = 0;
+
+  for (u32 round = 0; round < 60; ++round) {
+    const auto any_page = [&] { return rng.next_below(stream.num_pages()); };
+    for (const NodeId p : emptied)
+      for (int i = 0; i < 3; ++i) stream.insert_link(p, any_page());
+    emptied.clear();
+    const u32 ops = 2 + rng.next_below(10);
+    for (u32 i = 0; i < ops; ++i) {
+      const NodeId u = any_page();
+      const NodeId v = any_page();
+      if (rng.next_below(4) == 0)
+        stream.erase_link(u, v);
+      else
+        stream.insert_link(u, v);
+    }
+    if (round % 3 == 0) {
+      const NodeId p = rng.next_below(static_cast<u32>(shadow.out.size()));
+      for (const NodeId q : shadow.out[p]) stream.erase_link(p, q);
+      emptied.push_back(p);
+    }
+    if (round % 4 == 1) {
+      const std::string host =
+          round % 8 == 1 ? "grown" + std::to_string(new_hosts++) + ".example"
+                         : corpus.source_hosts[rng.next_below(
+                               corpus.num_sources())];
+      const NodeId fresh = stream.add_page(host);
+      stream.insert_link(fresh, any_page());
+      stream.insert_link(any_page(), fresh);
+    }
+    const auto batch = stream.commit();
+    graph.apply(batch);
+    shadow.mirror(batch, graph);
+    const std::string where = "round " + std::to_string(round);
+    expect_bitwise_parity(graph, shadow, where);
+    expect_topology_parity(graph, shadow, where);
+    ASSERT_EQ(graph.num_pages(), shadow.out.size()) << where;
+    ASSERT_EQ(graph.num_sources(), shadow.num_sources) << where;
+  }
+  const auto storage = graph.storage();
+  EXPECT_GE(storage.page_folds, 2u);
+  EXPECT_GE(storage.arena_compactions, 2u);
+  EXPECT_LE(storage.arena_entries, 2 * graph.row_entries());
+}
+
+TEST(DynamicSourceGraph, SeedsFromRawCsrGraph) {
+  // A page graph taken straight from CSR arrays, not from GraphBuilder:
+  // a dangling page, a self link, several links into one source and a
+  // page linking to every page. The base is a copy of these arrays; it
+  // needs no re-sort because graph::Graph rejects unsorted rows and
+  // parallel edges (graph_test), so no Graph can carry them.
+  const graph::Graph pages({0, 3, 3, 5, 7, 8, 14},
+                           {1, 2, 3, 0, 4, 2, 3, 5, 0, 1, 2, 3, 4, 5});
+  Shadow shadow;
+  shadow.page_source = {0, 0, 1, 1, 2, 2};
+  shadow.num_sources = 3;
+  for (NodeId p = 0; p < pages.num_nodes(); ++p) {
+    const auto nbrs = pages.out_neighbors(p);
+    shadow.out.emplace_back(nbrs.begin(), nbrs.end());
+  }
+  const core::SourceMap map(shadow.page_source);
+  DynamicSourceGraph graph(pages, map, {});
+  EXPECT_EQ(graph.hosts()[2], "s2");
+  expect_bitwise_parity(graph, shadow, "raw seed");
+  expect_topology_parity(graph, shadow, "raw seed");
+
+  EdgeStream stream(graph.num_pages());
+  stream.insert_link(1, 5);
+  stream.erase_link(5, 0);
+  const auto batch = stream.commit();
+  graph.apply(batch);
+  shadow.mirror(batch, graph);
+  expect_bitwise_parity(graph, shadow, "raw edited");
+}
+
+TEST(DynamicSourceGraph, RejectsDuplicateHostNames) {
+  const auto corpus = small_corpus(10, 2);
+  const core::SourceMap map(corpus.page_source);
+  auto hosts = corpus.source_hosts;
+  hosts[7] = hosts[2];
+  try {
+    const DynamicSourceGraph graph(corpus.pages, map, hosts);
+    FAIL() << "duplicate host name accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + hosts[2] + "'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DynamicSourceGraph, RejectsOutOfRangeBatch) {
