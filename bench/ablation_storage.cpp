@@ -4,6 +4,7 @@
 #include "bench/common.hpp"
 #include "graph/compressed.hpp"
 #include "graph/transforms.hpp"
+#include "util/check.hpp"
 
 namespace srsr::bench {
 namespace {
@@ -25,7 +26,7 @@ void run() {
     graph::CompressedGraph::Scanner scan(c);
     while (scan.next(nbrs)) total += nbrs.size();
     const f64 decode_s = timer.seconds();
-    check(total == g.num_edges(), "ablation_storage: decode mismatch");
+    SRSR_CHECK(total == g.num_edges(), "ablation_storage: decode mismatch");
 
     const f64 csr_mib = static_cast<f64>(g.memory_bytes()) / (1 << 20);
     const f64 cmp_mib = static_cast<f64>(c.memory_bytes()) / (1 << 20);

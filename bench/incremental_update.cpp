@@ -37,6 +37,7 @@
 #include "stream/dynamic_graph.hpp"
 #include "stream/edge_stream.hpp"
 #include "stream/incremental.hpp"
+#include "util/check.hpp"
 
 namespace srsr::bench {
 namespace {
@@ -75,7 +76,8 @@ ColdSolve cold_solve(const std::vector<std::vector<NodeId>>& shadow,
   const core::SpamResilientSourceRank model(pages, map,
                                             paper_srsr_config(mode));
   auto result = model.rank(kappa);
-  check(result.converged, "incremental_update: cold solve did not converge");
+  SRSR_CHECK(result.converged,
+             "incremental_update: cold solve did not converge");
   ColdSolve cold;
   cold.seconds = timer.seconds();
   cold.pushes = result.iterations;
@@ -101,7 +103,7 @@ void mirror_batch(std::vector<std::vector<NodeId>>& shadow,
 }
 
 f64 linf(std::span<const f64> a, std::span<const f64> b) {
-  check(a.size() == b.size(), "incremental_update: parity size mismatch");
+  SRSR_CHECK(a.size() == b.size(), "incremental_update: parity size mismatch");
   f64 worst = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i)
     worst = std::max(worst, std::abs(a[i] - b[i]));
@@ -174,13 +176,12 @@ void run() {
     const auto batch = stream.commit();
     mirror_batch(shadow, batch);
     const auto outcome = ranker.apply(batch);
-    check(outcome.converged,
-          "incremental_update: delta path did not converge");
+    SRSR_CHECK(outcome.converged,
+               "incremental_update: delta path did not converge");
     const auto cold = cold_solve(shadow, map, ranker.kappa(), cfg.mode);
     const f64 parity = linf(ranker.sigma(), cold.sigma);
-    check(parity < kParityGate,
-          "incremental_update: sigma parity " + std::to_string(parity) +
-              " breaches the gate — incremental state has drifted");
+    SRSR_CHECK(parity < kParityGate, "incremental_update: sigma parity ",
+               parity, " breaches the gate — incremental state has drifted");
     const f64 speedup = cold.seconds / std::max(outcome.seconds, 1e-12);
     if (hosts == 1) single_host_speedup = speedup;
     t.add_row({

@@ -21,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "util/check.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -71,8 +72,8 @@ int main() {
   //        pipeline would reuse across runs) and verify the round-trip.
   const std::string cache = (dir / "pages.srsrgraph").string();
   graph::write_binary(cache, crawl.pages);
-  check(graph::read_binary(cache) == crawl.pages,
-        "binary cache round-trip failed");
+  SRSR_CHECK(graph::read_binary(cache) == crawl.pages,
+             "binary cache round-trip failed");
   std::cout << "binary graph cache written to " << cache << "\n\n";
 
   // --- 4. Rank with spam-proximity throttling from the blocklist,

@@ -1,6 +1,7 @@
 #include "core/portfolio.hpp"
 
 #include "metrics/ranking.hpp"
+#include "util/check.hpp"
 
 namespace srsr::core {
 
@@ -34,8 +35,8 @@ std::vector<f64> SpammerModel::rank_sources(const graph::WebCorpus& corpus,
   const SourceMap map(corpus.page_source);
   const SpamResilientSourceRank model(corpus.pages, map, config_.srsr);
   if (!throttled) return model.rank_baseline().scores;
-  check(!config_.defender_seeds.empty() && config_.defender_top_k > 0,
-        "SpammerModel: kThrottledSrsr needs defender seeds and top_k");
+  SRSR_CHECK(!config_.defender_seeds.empty() && config_.defender_top_k > 0,
+             "SpammerModel: kThrottledSrsr needs defender seeds and top_k");
   return model
       .rank_with_spam_seeds(config_.defender_seeds, config_.defender_top_k)
       .ranking.scores;
@@ -45,8 +46,8 @@ CampaignEvaluation SpammerModel::evaluate(RankingSystem system,
                                           NodeId target_page,
                                           const spam::CampaignSpec& spec,
                                           u64 rng_seed) const {
-  check(target_page < corpus_->num_pages(),
-        "SpammerModel::evaluate: target page out of range");
+  SRSR_CHECK(target_page < corpus_->num_pages(),
+             "SpammerModel::evaluate: target page out of range");
   Pcg32 rng(rng_seed);
   auto attacked = spam::apply_campaign(*corpus_, target_page, spec, rng);
 
@@ -88,14 +89,14 @@ CampaignEvaluation SpammerModel::evaluate(RankingSystem system,
 
 f64 SpammerModel::source_portfolio_value(
     RankingSystem system, const std::vector<NodeId>& sources) const {
-  check(system != RankingSystem::kPageRank,
-        "source_portfolio_value: source-level systems only");
+  SRSR_CHECK(system != RankingSystem::kPageRank,
+             "source_portfolio_value: source-level systems only");
   const auto& scores = system == RankingSystem::kSourceRankBaseline
                            ? clean_baseline_
                            : clean_throttled_;
-  check(!scores.empty(),
-        "source_portfolio_value: throttled ranking unavailable (no "
-        "defender seeds configured)");
+  SRSR_CHECK(!scores.empty(),
+             "source_portfolio_value: throttled ranking unavailable (no "
+             "defender seeds configured)");
   return portfolio_value(scores, sources);
 }
 

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 
+#include "util/check.hpp"
+
 namespace srsr::core {
 
 SourceGraph::SourceGraph(const graph::Graph& pages, const SourceMap& map)
     : map_(&map) {
-  check(pages.num_nodes() == map.num_pages(),
-        "SourceGraph: page graph and source map disagree on page count");
+  SRSR_CHECK(pages.num_nodes() == map.num_pages(),
+             "SourceGraph: page graph and source map disagree on page count");
   const u32 ns = map.num_sources();
 
   // Per page: the set of distinct target sources (a page linking to
@@ -65,8 +67,8 @@ SourceGraph::SourceGraph(const graph::Graph& pages, const SourceMap& map)
 }
 
 u32 SourceGraph::consensus(NodeId si, NodeId sj) const {
-  check(si < num_sources() && sj < num_sources(),
-        "SourceGraph::consensus: id out of range");
+  SRSR_CHECK(si < num_sources() && sj < num_sources(),
+             "SourceGraph::consensus: id out of range");
   const auto nbrs = topology_.out_neighbors(si);
   const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), sj);
   if (it == nbrs.end() || *it != sj) return 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "util/check.hpp"
 #include "util/strings.hpp"
 
 namespace srsr::core {
@@ -15,9 +16,9 @@ SourceMap::SourceMap(std::vector<NodeId> page_source)
   page_count_.assign(num_sources_, 0);
   for (const NodeId s : page_source_) ++page_count_[s];
   for (u32 s = 0; s < num_sources_; ++s)
-    check(page_count_[s] > 0,
-          "SourceMap: source ids must be dense (source " + std::to_string(s) +
-              " has no pages)");
+    SRSR_CHECK(page_count_[s] > 0,
+               "SourceMap: source ids must be dense (source ", s,
+               " has no pages)");
 }
 
 SourceMap SourceMap::from_corpus(const graph::WebCorpus& corpus) {
@@ -55,7 +56,8 @@ const std::vector<std::vector<NodeId>>& SourceMap::pages_by_source() const {
 }
 
 f64 SourceMap::locality(const graph::Graph& g) const {
-  check(g.num_nodes() == num_pages(), "SourceMap::locality: graph size mismatch");
+  SRSR_CHECK(g.num_nodes() == num_pages(),
+             "SourceMap::locality: graph size mismatch");
   if (g.num_edges() == 0) return 0.0;
   u64 intra = 0;
   for (NodeId u = 0; u < g.num_nodes(); ++u)

@@ -13,6 +13,7 @@
 
 #include "graph/graph.hpp"
 #include "graph/webgen.hpp"
+#include "util/check.hpp"
 #include "util/common.hpp"
 
 namespace srsr::core {
@@ -38,7 +39,8 @@ class SourceMap {
   u32 num_sources() const { return num_sources_; }
 
   NodeId source_of(NodeId page) const {
-    check(page < num_pages(), "SourceMap::source_of: page id out of range");
+    SRSR_CHECK(page < num_pages(),
+               "SourceMap::source_of: page id out of range");
     return page_source_[page];
   }
 

@@ -8,7 +8,7 @@
 namespace srsr::graph {
 
 Graph complete(NodeId n) {
-  check(n > 0, "complete: n must be positive");
+  SRSR_CHECK(n > 0, "complete: n must be positive");
   std::vector<u64> offsets(static_cast<std::size_t>(n) + 1, 0);
   std::vector<NodeId> targets;
   targets.reserve(static_cast<std::size_t>(n) * (n - 1));
@@ -21,7 +21,7 @@ Graph complete(NodeId n) {
 }
 
 Graph cycle(NodeId n) {
-  check(n > 0, "cycle: n must be positive");
+  SRSR_CHECK(n > 0, "cycle: n must be positive");
   std::vector<u64> offsets(static_cast<std::size_t>(n) + 1);
   std::vector<NodeId> targets(n);
   for (NodeId u = 0; u < n; ++u) {
@@ -33,7 +33,7 @@ Graph cycle(NodeId n) {
 }
 
 Graph path(NodeId n) {
-  check(n > 0, "path: n must be positive");
+  SRSR_CHECK(n > 0, "path: n must be positive");
   std::vector<u64> offsets(static_cast<std::size_t>(n) + 1, 0);
   std::vector<NodeId> targets;
   targets.reserve(n - 1);
@@ -46,7 +46,7 @@ Graph path(NodeId n) {
 }
 
 Graph star(NodeId n, bool bidirectional) {
-  check(n >= 2, "star: need at least a hub and one leaf");
+  SRSR_CHECK(n >= 2, "star: need at least a hub and one leaf");
   GraphBuilder b(n);
   for (NodeId leaf = 1; leaf < n; ++leaf) {
     b.add_edge(leaf, 0);
@@ -56,7 +56,7 @@ Graph star(NodeId n, bool bidirectional) {
 }
 
 Graph erdos_renyi(NodeId n, f64 p, Pcg32& rng) {
-  check(n > 0, "erdos_renyi: n must be positive");
+  SRSR_CHECK(n > 0, "erdos_renyi: n must be positive");
   SRSR_CHECK(p >= 0.0 && p <= 1.0, "erdos_renyi: p = ", p,
              ", must be in [0,1]");
   GraphBuilder b(n);
@@ -81,7 +81,7 @@ Graph erdos_renyi(NodeId n, f64 p, Pcg32& rng) {
 }
 
 Graph barabasi_albert(NodeId n, u32 m, Pcg32& rng) {
-  check(n > m && m > 0, "barabasi_albert: need n > m > 0");
+  SRSR_CHECK(n > m && m > 0, "barabasi_albert: need n > m > 0");
   GraphBuilder b(n);
   // The classic trick: maintain a repeated-endpoints array where each
   // node appears once per incident edge endpoint (+1 initial mass);

@@ -8,8 +8,8 @@
 
 #include "graph/builder.hpp"
 #include "obs/stage_timer.hpp"
-#include "util/strings.hpp"
 #include "util/check.hpp"
+#include "util/strings.hpp"
 
 namespace srsr::graph {
 
@@ -41,9 +41,9 @@ void write_edge_list(std::ostream& out, const Graph& g) {
 void write_edge_list_file(const std::string& path, const Graph& g) {
   obs::StageTimer stage("graph.io.write_edge_list");
   std::ofstream out(path);
-  SRSR_CHECK(out.good(), "write_edge_list_file: cannot open " + path);
+  SRSR_CHECK(out.good(), "write_edge_list_file: cannot open ", path);
   write_edge_list(out, g);
-  SRSR_CHECK(out.good(), "write_edge_list_file: write failed for " + path);
+  SRSR_CHECK(out.good(), "write_edge_list_file: write failed for ", path);
 }
 
 Graph read_edge_list(std::istream& in, NodeId num_nodes) {
@@ -57,13 +57,18 @@ Graph read_edge_list(std::istream& in, NodeId num_nodes) {
     const std::string_view body = trim(line);
     if (body.empty() || body[0] == '#') continue;
     const auto tokens = split(body);
-    SRSR_CHECK(tokens.size() == 2, "read_edge_list: line " +
-                                  std::to_string(lineno) +
-                                  ": expected 'u v', got '" + line + "'");
-    const u64 u = parse_u64(tokens[0]);
-    const u64 v = parse_u64(tokens[1]);
-    SRSR_CHECK(u < kInvalidNode && v < kInvalidNode,
-          "read_edge_list: line " + std::to_string(lineno) + ": id too large");
+    SRSR_CHECK(tokens.size() == 2, "read_edge_list: line ", lineno,
+               ": expected 'u v', got '", line, "'");
+    u64 u = 0;
+    u64 v = 0;
+    try {
+      u = parse_u64(tokens[0]);
+      v = parse_u64(tokens[1]);
+    } catch (const Error& e) {
+      SRSR_CHECK(false, "read_edge_list: line ", lineno, ": ", e.what());
+    }
+    SRSR_CHECK(u < kInvalidNode && v < kInvalidNode, "read_edge_list: line ",
+               lineno, ": id too large");
     edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
     max_id = std::max({max_id, static_cast<NodeId>(u), static_cast<NodeId>(v)});
     any = true;
@@ -78,14 +83,14 @@ Graph read_edge_list(std::istream& in, NodeId num_nodes) {
 Graph read_edge_list_file(const std::string& path, NodeId num_nodes) {
   obs::StageTimer stage("graph.io.read_edge_list");
   std::ifstream in(path);
-  SRSR_CHECK(in.good(), "read_edge_list_file: cannot open " + path);
+  SRSR_CHECK(in.good(), "read_edge_list_file: cannot open ", path);
   return read_edge_list(in, num_nodes);
 }
 
 void write_binary(const std::string& path, const Graph& g) {
   obs::StageTimer stage("graph.io.write_binary");
   std::ofstream out(path, std::ios::binary);
-  SRSR_CHECK(out.good(), "write_binary: cannot open " + path);
+  SRSR_CHECK(out.good(), "write_binary: cannot open ", path);
   out.write(kMagic, sizeof(kMagic));
   write_pod(out, kVersion);
   write_pod(out, static_cast<u64>(g.num_nodes()));
@@ -94,17 +99,17 @@ void write_binary(const std::string& path, const Graph& g) {
             static_cast<std::streamsize>(g.offsets().size() * sizeof(u64)));
   out.write(reinterpret_cast<const char*>(g.targets().data()),
             static_cast<std::streamsize>(g.targets().size() * sizeof(NodeId)));
-  SRSR_CHECK(out.good(), "write_binary: write failed for " + path);
+  SRSR_CHECK(out.good(), "write_binary: write failed for ", path);
 }
 
 Graph read_binary(const std::string& path) {
   obs::StageTimer stage("graph.io.read_binary");
   std::ifstream in(path, std::ios::binary);
-  SRSR_CHECK(in.good(), "read_binary: cannot open " + path);
+  SRSR_CHECK(in.good(), "read_binary: cannot open ", path);
   char magic[8];
   in.read(magic, sizeof(magic));
   SRSR_CHECK(in.good() && std::equal(magic, magic + 8, kMagic),
-        "read_binary: bad magic in " + path);
+             "read_binary: bad magic in ", path);
   const u32 version = read_pod<u32>(in);
   SRSR_CHECK(version == kVersion, "read_binary: unsupported version");
   const u64 n = read_pod<u64>(in);
@@ -116,7 +121,7 @@ Graph read_binary(const std::string& path) {
   std::vector<NodeId> targets(m);
   in.read(reinterpret_cast<char*>(targets.data()),
           static_cast<std::streamsize>(targets.size() * sizeof(NodeId)));
-  SRSR_CHECK(in.good(), "read_binary: truncated file " + path);
+  SRSR_CHECK(in.good(), "read_binary: truncated file ", path);
   return Graph(std::move(offsets), std::move(targets));
 }
 
@@ -132,12 +137,19 @@ WebCorpus read_url_corpus(std::istream& pages, std::istream& edges) {
     const std::string_view body = trim(line);
     if (body.empty() || body[0] == '#') continue;
     const auto tokens = split(body);
-    SRSR_CHECK(tokens.size() == 2, "read_url_corpus: pages line " +
-                                  std::to_string(lineno) +
-                                  ": expected '<id> <url>'");
-    const u64 id = parse_u64(tokens[0]);
-    SRSR_CHECK(id < kInvalidNode, "read_url_corpus: page id too large");
-    const std::string host = host_of(tokens[1]);
+    SRSR_CHECK(tokens.size() == 2, "read_url_corpus: pages line ", lineno,
+               ": expected '<id> <url>'");
+    u64 id = 0;
+    std::string host;
+    try {
+      id = parse_u64(tokens[0]);
+      host = host_of(tokens[1]);
+    } catch (const Error& e) {
+      SRSR_CHECK(false, "read_url_corpus: pages line ", lineno, ": ",
+                 e.what());
+    }
+    SRSR_CHECK(id < kInvalidNode, "read_url_corpus: pages line ", lineno,
+               ": page id too large");
     const auto [it, inserted] = host_to_source.emplace(
         host, static_cast<NodeId>(corpus.source_hosts.size()));
     if (inserted) corpus.source_hosts.push_back(host);
@@ -150,7 +162,7 @@ WebCorpus read_url_corpus(std::istream& pages, std::istream& edges) {
   for (const auto& [id, src] : page_rows) {
     SRSR_CHECK(id < np, "read_url_corpus: page ids must be dense 0..n-1");
     SRSR_CHECK(corpus.page_source[id] == kInvalidNode,
-          "read_url_corpus: duplicate page id " + std::to_string(id));
+               "read_url_corpus: duplicate page id ", id);
     corpus.page_source[id] = src;
   }
 

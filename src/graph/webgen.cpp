@@ -6,6 +6,7 @@
 
 #include "graph/builder.hpp"
 #include "obs/stage_timer.hpp"
+#include "util/check.hpp"
 #include "util/log.hpp"
 
 namespace srsr::graph {
@@ -49,14 +50,15 @@ f64 WebCorpus::measured_locality() const {
 
 WebCorpus generate_web_corpus(const WebGenConfig& cfg) {
   obs::StageTimer stage("graph.webgen.generate");
-  check(cfg.num_sources > 0, "webgen: num_sources must be positive");
-  check(cfg.num_spam_sources < cfg.num_sources,
-        "webgen: spam sources must be a strict subset");
-  check(cfg.intra_locality >= 0.0 && cfg.intra_locality <= 1.0,
-        "webgen: intra_locality must be in [0,1]");
-  check(cfg.min_pages_per_source >= 1, "webgen: sources must be non-empty");
-  check(cfg.max_pages_per_source >= cfg.min_pages_per_source,
-        "webgen: max_pages_per_source < min_pages_per_source");
+  SRSR_CHECK(cfg.num_sources > 0, "webgen: num_sources must be positive");
+  SRSR_CHECK(cfg.num_spam_sources < cfg.num_sources,
+             "webgen: spam sources must be a strict subset");
+  SRSR_CHECK(cfg.intra_locality >= 0.0 && cfg.intra_locality <= 1.0,
+             "webgen: intra_locality must be in [0,1]");
+  SRSR_CHECK(cfg.min_pages_per_source >= 1,
+             "webgen: sources must be non-empty");
+  SRSR_CHECK(cfg.max_pages_per_source >= cfg.min_pages_per_source,
+             "webgen: max_pages_per_source < min_pages_per_source");
 
   SplitMix64 seeder(cfg.seed);
   Pcg32 rng(seeder.next(), 1);
@@ -76,7 +78,7 @@ WebCorpus generate_web_corpus(const WebGenConfig& cfg) {
     corpus.source_first_page[s] = static_cast<NodeId>(total_pages);
     total_pages += count;
   }
-  check(total_pages < kInvalidNode, "webgen: page id space overflow");
+  SRSR_CHECK(total_pages < kInvalidNode, "webgen: page id space overflow");
   const NodeId np = static_cast<NodeId>(total_pages);
 
   corpus.page_source.resize(np);
@@ -204,9 +206,9 @@ WebCorpus generate_web_corpus(const WebGenConfig& cfg) {
 
   // --- 7. Optional page content (the search substrate's input).
   if (cfg.generate_terms) {
-    check(cfg.num_topics >= 1, "webgen: need at least one topic");
-    check(cfg.vocab_size >= 20 * cfg.num_topics,
-          "webgen: vocabulary too small for the topic partition");
+    SRSR_CHECK(cfg.num_topics >= 1, "webgen: need at least one topic");
+    SRSR_CHECK(cfg.vocab_size >= 20 * cfg.num_topics,
+               "webgen: vocabulary too small for the topic partition");
     corpus.vocab_size = cfg.vocab_size;
     const u32 background = cfg.vocab_size / 20;
     const u32 topic_span = (cfg.vocab_size - background) / cfg.num_topics;

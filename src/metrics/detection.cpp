@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "util/check.hpp"
+
 namespace srsr::metrics {
 
 namespace {
@@ -36,8 +38,8 @@ std::vector<u32> order_desc(std::span<const f64> scores) {
 
 PrecisionRecall precision_recall(std::span<const u8> flagged,
                                  std::span<const u8> labels) {
-  check(flagged.size() == labels.size(),
-        "precision_recall: size mismatch");
+  SRSR_CHECK(flagged.size() == labels.size(),
+             "precision_recall: size mismatch");
   PrecisionRecall pr;
   for (std::size_t i = 0; i < flagged.size(); ++i) {
     if (flagged[i] && labels[i]) ++pr.true_positives;
@@ -50,9 +52,9 @@ PrecisionRecall precision_recall(std::span<const u8> flagged,
 
 PrecisionRecall precision_recall_at_k(std::span<const f64> scores,
                                       std::span<const u8> labels, u32 k) {
-  check(scores.size() == labels.size(),
-        "precision_recall_at_k: size mismatch");
-  check(k <= scores.size(), "precision_recall_at_k: k exceeds item count");
+  SRSR_CHECK(scores.size() == labels.size(),
+             "precision_recall_at_k: size mismatch");
+  SRSR_CHECK(k <= scores.size(), "precision_recall_at_k: k exceeds item count");
   const auto order = order_desc(scores);
   std::vector<u8> flagged(scores.size(), 0);
   for (u32 i = 0; i < k; ++i) flagged[order[i]] = 1;
@@ -61,7 +63,8 @@ PrecisionRecall precision_recall_at_k(std::span<const f64> scores,
 
 f64 average_precision(std::span<const f64> scores,
                       std::span<const u8> labels) {
-  check(scores.size() == labels.size(), "average_precision: size mismatch");
+  SRSR_CHECK(scores.size() == labels.size(),
+             "average_precision: size mismatch");
   const auto order = order_desc(scores);
   u64 positives_seen = 0;
   f64 total = 0.0;
@@ -70,12 +73,12 @@ f64 average_precision(std::span<const f64> scores,
     ++positives_seen;
     total += static_cast<f64>(positives_seen) / static_cast<f64>(i + 1);
   }
-  check(positives_seen > 0, "average_precision: no positive labels");
+  SRSR_CHECK(positives_seen > 0, "average_precision: no positive labels");
   return total / static_cast<f64>(positives_seen);
 }
 
 f64 roc_auc(std::span<const f64> scores, std::span<const u8> labels) {
-  check(scores.size() == labels.size(), "roc_auc: size mismatch");
+  SRSR_CHECK(scores.size() == labels.size(), "roc_auc: size mismatch");
   // Rank-sum with midranks for ties.
   std::vector<u32> order(scores.size());
   std::iota(order.begin(), order.end(), 0);
@@ -99,8 +102,8 @@ f64 roc_auc(std::span<const f64> scores, std::span<const u8> labels) {
     }
   }
   const u64 negatives = labels.size() - positives;
-  check(positives > 0 && negatives > 0,
-        "roc_auc: need both positive and negative labels");
+  SRSR_CHECK(positives > 0 && negatives > 0,
+             "roc_auc: need both positive and negative labels");
   const f64 u_stat = positive_rank_sum -
                      static_cast<f64>(positives) *
                          (static_cast<f64>(positives) + 1.0) / 2.0;

@@ -5,6 +5,8 @@
 #include <iterator>
 #include <numeric>
 
+#include "util/check.hpp"
+
 namespace srsr::metrics {
 
 namespace {
@@ -59,7 +61,7 @@ std::vector<u32> ranks_by_score(std::span<const f64> scores) {
 }
 
 f64 percentile_of(std::span<const f64> scores, NodeId id) {
-  check(id < scores.size(), "percentile_of: id out of range");
+  SRSR_CHECK(id < scores.size(), "percentile_of: id out of range");
   if (scores.size() <= 1) return 100.0;
   u64 below = 0;
   for (std::size_t i = 0; i < scores.size(); ++i)
@@ -70,9 +72,9 @@ f64 percentile_of(std::span<const f64> scores, NodeId id) {
 
 std::vector<u32> equal_count_buckets(std::span<const f64> scores,
                                      u32 num_buckets) {
-  check(num_buckets > 0, "equal_count_buckets: need at least one bucket");
-  check(scores.size() >= num_buckets,
-        "equal_count_buckets: fewer nodes than buckets");
+  SRSR_CHECK(num_buckets > 0, "equal_count_buckets: need at least one bucket");
+  SRSR_CHECK(scores.size() >= num_buckets,
+             "equal_count_buckets: fewer nodes than buckets");
   const auto order = order_desc(scores);
   const std::size_t n = scores.size();
   const std::size_t base = n / num_buckets;
@@ -91,15 +93,16 @@ std::vector<u64> bucket_occupancy(std::span<const u32> buckets,
                                   u32 num_buckets) {
   std::vector<u64> occupancy(num_buckets, 0);
   for (const NodeId id : marked) {
-    check(id < buckets.size(), "bucket_occupancy: marked id out of range");
-    check(buckets[id] < num_buckets, "bucket_occupancy: bucket out of range");
+    SRSR_CHECK(id < buckets.size(), "bucket_occupancy: marked id out of range");
+    SRSR_CHECK(buckets[id] < num_buckets,
+               "bucket_occupancy: bucket out of range");
     ++occupancy[buckets[id]];
   }
   return occupancy;
 }
 
 f64 kendall_tau(std::span<const f64> a, std::span<const f64> b) {
-  check(a.size() == b.size(), "kendall_tau: size mismatch");
+  SRSR_CHECK(a.size() == b.size(), "kendall_tau: size mismatch");
   const std::size_t n = a.size();
   if (n < 2) return 1.0;
   // Sort ids by a; the number of inversions of b-ranks in that order is
@@ -121,7 +124,7 @@ f64 kendall_tau(std::span<const f64> a, std::span<const f64> b) {
 }
 
 f64 spearman_footrule(std::span<const f64> a, std::span<const f64> b) {
-  check(a.size() == b.size(), "spearman_footrule: size mismatch");
+  SRSR_CHECK(a.size() == b.size(), "spearman_footrule: size mismatch");
   const std::size_t n = a.size();
   if (n < 2) return 0.0;
   const auto ra = ranks_by_score(a);
@@ -135,8 +138,8 @@ f64 spearman_footrule(std::span<const f64> a, std::span<const f64> b) {
 }
 
 f64 top_k_overlap(std::span<const f64> a, std::span<const f64> b, u32 k) {
-  check(k > 0 && k <= a.size() && a.size() == b.size(),
-        "top_k_overlap: bad k or size mismatch");
+  SRSR_CHECK(k > 0 && k <= a.size() && a.size() == b.size(),
+             "top_k_overlap: bad k or size mismatch");
   const auto oa = order_desc(a);
   const auto ob = order_desc(b);
   std::vector<u32> ta(oa.begin(), oa.begin() + k);

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "obs/json.hpp"
+#include "util/check.hpp"
 
 namespace srsr::obs {
 
@@ -113,18 +114,19 @@ void write_perfetto_trace(const std::string& path,
   const std::filesystem::path tmp(path + ".tmp");
   {
     std::ofstream out(tmp, std::ios::trunc);
-    check(out.good(), "write_perfetto_trace: cannot open " + tmp.string());
+    SRSR_CHECK(out.good(), "write_perfetto_trace: cannot open ", tmp.string());
     out << perfetto_trace_json(spans) << '\n';
     out.flush();
-    check(out.good(), "write_perfetto_trace: failed writing " + tmp.string());
+    SRSR_CHECK(out.good(), "write_perfetto_trace: failed writing ",
+               tmp.string());
   }
   std::error_code ec;
   std::filesystem::rename(tmp, p, ec);
   if (ec) {
     std::error_code ignored;
     std::filesystem::remove(tmp, ignored);
-    check(false, "write_perfetto_trace: cannot rename " + tmp.string() +
-                     " to " + path + ": " + ec.message());
+    SRSR_CHECK(false, "write_perfetto_trace: cannot rename ", tmp.string(),
+               " to ", path, ": ", ec.message());
   }
 }
 

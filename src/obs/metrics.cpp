@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "obs/json.hpp"
+#include "util/check.hpp"
 
 namespace srsr::obs {
 
@@ -17,10 +18,10 @@ void set_metrics_enabled(bool on) {
 
 Histogram::Histogram(std::vector<f64> upper_bounds)
     : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1) {
-  check(!bounds_.empty(), "Histogram: needs at least one bucket bound");
+  SRSR_CHECK(!bounds_.empty(), "Histogram: needs at least one bucket bound");
   for (std::size_t i = 1; i < bounds_.size(); ++i)
-    check(bounds_[i - 1] < bounds_[i],
-          "Histogram: bucket bounds must be strictly increasing");
+    SRSR_CHECK(bounds_[i - 1] < bounds_[i],
+               "Histogram: bucket bounds must be strictly increasing");
 }
 
 std::vector<u64> Histogram::counts() const {
@@ -36,9 +37,9 @@ f64 Histogram::mean() const {
 }
 
 std::vector<f64> log_spaced_buckets(f64 lo, f64 hi, u32 per_decade) {
-  check(std::isfinite(lo) && std::isfinite(hi) && lo > 0.0 && hi > lo,
-        "log_spaced_buckets: need 0 < lo < hi, both finite");
-  check(per_decade > 0, "log_spaced_buckets: per_decade must be positive");
+  SRSR_CHECK(std::isfinite(lo) && std::isfinite(hi) && lo > 0.0 && hi > lo,
+             "log_spaced_buckets: need 0 < lo < hi, both finite");
+  SRSR_CHECK(per_decade > 0, "log_spaced_buckets: per_decade must be positive");
   const f64 step = std::pow(10.0, 1.0 / static_cast<f64>(per_decade));
   std::vector<f64> out;
   // Generate multiplicatively from lo; the epsilon keeps the top edge
@@ -54,9 +55,9 @@ std::vector<f64> default_seconds_buckets() {
 
 f64 histogram_quantile(std::span<const f64> bounds,
                        std::span<const u64> counts, f64 q) {
-  check(q >= 0.0 && q <= 1.0, "histogram_quantile: q must be in [0, 1]");
-  check(counts.size() == bounds.size() + 1,
-        "histogram_quantile: counts must be bounds + overflow");
+  SRSR_CHECK(q >= 0.0 && q <= 1.0, "histogram_quantile: q must be in [0, 1]");
+  SRSR_CHECK(counts.size() == bounds.size() + 1,
+             "histogram_quantile: counts must be bounds + overflow");
   u64 total = 0;
   for (const u64 c : counts) total += c;
   if (total == 0) return 0.0;
@@ -79,10 +80,10 @@ f64 histogram_quantile(std::span<const f64> bounds,
 namespace {
 
 void check_name(const std::string& name) {
-  check(name.size() > 5 && name.compare(0, 5, "srsr.") == 0 &&
-            name.back() != '.',
-        "MetricsRegistry: metric name '" + name +
-            "' must follow the srsr.<subsystem>.<name> scheme");
+  SRSR_CHECK(name.size() > 5 && name.compare(0, 5, "srsr.") == 0 &&
+                 name.back() != '.',
+             "MetricsRegistry: metric name '", name,
+             "' must follow the srsr.<subsystem>.<name> scheme");
 }
 
 }  // namespace
@@ -95,8 +96,9 @@ MetricsRegistry& MetricsRegistry::instance() {
 Counter& MetricsRegistry::counter(const std::string& name) {
   check_name(name);
   std::lock_guard<std::mutex> lock(mutex_);
-  check(gauges_.count(name) == 0 && histograms_.count(name) == 0,
-        "MetricsRegistry: '" + name + "' already registered as another kind");
+  SRSR_CHECK(gauges_.count(name) == 0 && histograms_.count(name) == 0,
+             "MetricsRegistry: '", name,
+             "' already registered as another kind");
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
   return *slot;
@@ -105,8 +107,9 @@ Counter& MetricsRegistry::counter(const std::string& name) {
 Gauge& MetricsRegistry::gauge(const std::string& name) {
   check_name(name);
   std::lock_guard<std::mutex> lock(mutex_);
-  check(counters_.count(name) == 0 && histograms_.count(name) == 0,
-        "MetricsRegistry: '" + name + "' already registered as another kind");
+  SRSR_CHECK(counters_.count(name) == 0 && histograms_.count(name) == 0,
+             "MetricsRegistry: '", name,
+             "' already registered as another kind");
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
@@ -116,8 +119,9 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
                                       std::vector<f64> upper_bounds) {
   check_name(name);
   std::lock_guard<std::mutex> lock(mutex_);
-  check(counters_.count(name) == 0 && gauges_.count(name) == 0,
-        "MetricsRegistry: '" + name + "' already registered as another kind");
+  SRSR_CHECK(counters_.count(name) == 0 && gauges_.count(name) == 0,
+             "MetricsRegistry: '", name,
+             "' already registered as another kind");
   auto& slot = histograms_[name];
   if (!slot)
     slot = std::make_unique<Histogram>(upper_bounds.empty()

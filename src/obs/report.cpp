@@ -5,6 +5,7 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "util/check.hpp"
 
 namespace srsr::obs {
 
@@ -120,18 +121,18 @@ void RunReport::write(const std::string& path) const {
   const std::filesystem::path tmp(path + ".tmp");
   {
     std::ofstream out(tmp, std::ios::trunc);
-    check(out.good(), "RunReport::write: cannot open " + tmp.string());
+    SRSR_CHECK(out.good(), "RunReport::write: cannot open ", tmp.string());
     out << to_json() << '\n';
     out.flush();
-    check(out.good(), "RunReport::write: failed writing " + tmp.string());
+    SRSR_CHECK(out.good(), "RunReport::write: failed writing ", tmp.string());
   }
   std::error_code ec;
   std::filesystem::rename(tmp, p, ec);
   if (ec) {
     std::error_code ignored;  // best effort; keep the rename error primary
     std::filesystem::remove(tmp, ignored);
-    check(false, "RunReport::write: cannot rename " + tmp.string() +
-                     " to " + path + ": " + ec.message());
+    SRSR_CHECK(false, "RunReport::write: cannot rename ", tmp.string(), " to ",
+               path, ": ", ec.message());
   }
 }
 

@@ -78,15 +78,16 @@ StochasticMatrix StochasticMatrix::uniform_from_graph(const graph::Graph& g) {
 
 StochasticMatrix StochasticMatrix::from_rows(
     NodeId n, const std::vector<std::vector<std::pair<NodeId, f64>>>& rows) {
-  check(rows.size() == n, "StochasticMatrix::from_rows: row count mismatch");
+  SRSR_CHECK(rows.size() == n,
+             "StochasticMatrix::from_rows: row count mismatch");
   std::vector<u64> offsets(static_cast<std::size_t>(n) + 1, 0);
   std::vector<NodeId> cols;
   std::vector<f64> weights;
   for (NodeId r = 0; r < n; ++r) {
     f64 total = 0.0;
     for (const auto& [c, w] : rows[r]) {
-      check(c < n, "StochasticMatrix::from_rows: column out of range");
-      check(w >= 0.0, "StochasticMatrix::from_rows: negative weight");
+      SRSR_CHECK(c < n, "StochasticMatrix::from_rows: column out of range");
+      SRSR_CHECK(w >= 0.0, "StochasticMatrix::from_rows: negative weight");
       total += w;
     }
     for (const auto& [c, w] : rows[r]) {

@@ -1,16 +1,17 @@
 #include "rank/trustrank.hpp"
 
 #include "obs/metrics.hpp"
+#include "util/check.hpp"
 
 namespace srsr::rank {
 
 RankResult trustrank(const graph::Graph& g,
                      const std::vector<NodeId>& trusted_seeds,
                      const TrustRankConfig& config) {
-  check(!trusted_seeds.empty(), "trustrank: seed set must be non-empty");
+  SRSR_CHECK(!trusted_seeds.empty(), "trustrank: seed set must be non-empty");
   std::vector<f64> teleport(g.num_nodes(), 0.0);
   for (const NodeId s : trusted_seeds) {
-    check(s < g.num_nodes(), "trustrank: seed id out of range");
+    SRSR_CHECK(s < g.num_nodes(), "trustrank: seed id out of range");
     teleport[s] = 1.0;
   }
   PageRankConfig pr;

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <unordered_map>
 
+#include "util/check.hpp"
+
 namespace srsr::search {
 
 SearchEngine::SearchEngine(const InvertedIndex& index,
@@ -12,13 +14,13 @@ SearchEngine::SearchEngine(const InvertedIndex& index,
                            EngineConfig config)
     : index_(&index), global_scores_(std::move(global_scores)),
       config_(config) {
-  check(config_.authority_weight >= 0.0 && config_.authority_weight <= 1.0,
-        "SearchEngine: authority_weight must be in [0,1]");
+  SRSR_CHECK(config_.authority_weight >= 0.0 && config_.authority_weight <= 1.0,
+             "SearchEngine: authority_weight must be in [0,1]");
   if (!global_scores_.empty()) {
-    check(global_scores_.size() == index.num_documents(),
-          "SearchEngine: global score vector size mismatch");
+    SRSR_CHECK(global_scores_.size() == index.num_documents(),
+               "SearchEngine: global score vector size mismatch");
     for (const f64 v : global_scores_)
-      check(v >= 0.0, "SearchEngine: global scores must be non-negative");
+      SRSR_CHECK(v >= 0.0, "SearchEngine: global scores must be non-negative");
 
     // Corpus-wide authority percentiles; tied scores share the average
     // position so the blend never invents an order among equals.
@@ -102,15 +104,15 @@ std::vector<SearchHit> SearchEngine::query(const std::vector<u32>& terms,
 std::vector<f64> project_source_scores_to_pages(
     std::span<const f64> source_scores, std::span<const NodeId> page_source,
     std::span<const u32> source_page_count) {
-  check(source_scores.size() == source_page_count.size(),
-        "project_source_scores_to_pages: source vector size mismatch");
+  SRSR_CHECK(source_scores.size() == source_page_count.size(),
+             "project_source_scores_to_pages: source vector size mismatch");
   std::vector<f64> out(page_source.size());
   for (std::size_t p = 0; p < page_source.size(); ++p) {
     const NodeId s = page_source[p];
-    check(s < source_scores.size(),
-          "project_source_scores_to_pages: source id out of range");
-    check(source_page_count[s] > 0,
-          "project_source_scores_to_pages: empty source");
+    SRSR_CHECK(s < source_scores.size(),
+               "project_source_scores_to_pages: source id out of range");
+    SRSR_CHECK(source_page_count[s] > 0,
+               "project_source_scores_to_pages: empty source");
     out[p] = source_scores[s] / static_cast<f64>(source_page_count[s]);
   }
   return out;

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 
+#include "util/check.hpp"
+
 namespace srsr::search {
 
 InvertedIndex::InvertedIndex(const std::vector<std::vector<u32>>& page_terms,
                              u32 vocab_size)
     : num_documents_(static_cast<NodeId>(page_terms.size())) {
-  check(vocab_size > 0, "InvertedIndex: vocabulary must be non-empty");
+  SRSR_CHECK(vocab_size > 0, "InvertedIndex: vocabulary must be non-empty");
 
   // Pass 1: per-page sorted term runs give (term, tf) pairs; count
   // postings per term.
@@ -20,7 +22,8 @@ InvertedIndex::InvertedIndex(const std::vector<std::vector<u32>>& page_terms,
     scratch.assign(page_terms[p].begin(), page_terms[p].end());
     std::sort(scratch.begin(), scratch.end());
     for (std::size_t i = 0; i < scratch.size();) {
-      check(scratch[i] < vocab_size, "InvertedIndex: term id out of range");
+      SRSR_CHECK(scratch[i] < vocab_size,
+                 "InvertedIndex: term id out of range");
       std::size_t j = i;
       while (j < scratch.size() && scratch[j] == scratch[i]) ++j;
       page_tfs[p].emplace_back(scratch[i], static_cast<u32>(j - i));

@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "util/check.hpp"
 #include "util/common.hpp"
 
 namespace srsr::search {
@@ -32,7 +33,7 @@ class InvertedIndex {
 
   /// Postings of a term, ordered by ascending page id.
   std::span<const Posting> postings(u32 term) const {
-    check(term < vocab_size(), "InvertedIndex: term out of range");
+    SRSR_CHECK(term < vocab_size(), "InvertedIndex: term out of range");
     return {postings_.data() + offsets_[term],
             postings_.data() + offsets_[term + 1]};
   }
@@ -44,7 +45,7 @@ class InvertedIndex {
 
   /// Length (total term occurrences) of a page.
   u32 document_length(NodeId page) const {
-    check(page < num_documents_, "InvertedIndex: page out of range");
+    SRSR_CHECK(page < num_documents_, "InvertedIndex: page out of range");
     return doc_length_[page];
   }
 

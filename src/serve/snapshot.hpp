@@ -18,8 +18,8 @@
 // number of readers can use it lock-free for as long as they hold the
 // shared_ptr. A FNV-1a checksum over the score bytes (folded with the
 // epoch at stamping) lets readers prove they never observed a torn or
-// half-published snapshot — the serve_throughput bench verifies it on
-// every acquire.
+// half-published snapshot — serve_store_test verifies it on every
+// acquire, and the bench suite's query_churn workload samples it.
 #pragma once
 
 #include <memory>

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "graph/builder.hpp"
+#include "util/check.hpp"
 
 namespace srsr::spam {
 
@@ -19,7 +20,8 @@ NodeId page_frontier(const WebCorpus& corpus) {
 }
 
 NodeId append_pages(WebCorpus& corpus, NodeId source, u32 count) {
-  check(source < corpus.num_sources(), "append_pages: source out of range");
+  SRSR_CHECK(source < corpus.num_sources(),
+             "append_pages: source out of range");
   const NodeId first = page_frontier(corpus);
   corpus.page_source.insert(corpus.page_source.end(), count, source);
   corpus.source_page_count[source] += count;
@@ -41,8 +43,8 @@ NodeId append_source(WebCorpus& corpus) {
 
 WebCorpus add_intra_source_farm(const WebCorpus& corpus, NodeId target_page,
                                 u32 count) {
-  check(target_page < corpus.num_pages(),
-        "add_intra_source_farm: target page out of range");
+  SRSR_CHECK(target_page < corpus.num_pages(),
+             "add_intra_source_farm: target page out of range");
   WebCorpus out = corpus;
   const NodeId source = out.page_source[target_page];
   const NodeId first = append_pages(out, source, count);
@@ -55,13 +57,13 @@ WebCorpus add_intra_source_farm(const WebCorpus& corpus, NodeId target_page,
 
 WebCorpus add_cross_source_farm(const WebCorpus& corpus, NodeId target_page,
                                 NodeId colluding_source, u32 count) {
-  check(target_page < corpus.num_pages(),
-        "add_cross_source_farm: target page out of range");
-  check(colluding_source < corpus.num_sources(),
-        "add_cross_source_farm: colluding source out of range");
-  check(corpus.page_source[target_page] != colluding_source,
-        "add_cross_source_farm: colluding source must differ from the "
-        "target's source");
+  SRSR_CHECK(target_page < corpus.num_pages(),
+             "add_cross_source_farm: target page out of range");
+  SRSR_CHECK(colluding_source < corpus.num_sources(),
+             "add_cross_source_farm: colluding source out of range");
+  SRSR_CHECK(corpus.page_source[target_page] != colluding_source,
+             "add_cross_source_farm: colluding source must differ from the "
+             "target's source");
   WebCorpus out = corpus;
   const NodeId first = append_pages(out, colluding_source, count);
   graph::GraphBuilder b(out.pages);
@@ -73,10 +75,10 @@ WebCorpus add_cross_source_farm(const WebCorpus& corpus, NodeId target_page,
 
 WebCorpus add_colluding_sources(const WebCorpus& corpus, NodeId target_page,
                                 u32 num_sources, u32 pages_per_source) {
-  check(target_page < corpus.num_pages(),
-        "add_colluding_sources: target page out of range");
-  check(pages_per_source >= 1,
-        "add_colluding_sources: sources must be non-empty");
+  SRSR_CHECK(target_page < corpus.num_pages(),
+             "add_colluding_sources: target page out of range");
+  SRSR_CHECK(pages_per_source >= 1,
+             "add_colluding_sources: sources must be non-empty");
   WebCorpus out = corpus;
   graph::GraphBuilder b(out.pages);
   for (u32 s = 0; s < num_sources; ++s) {
@@ -99,10 +101,11 @@ WebCorpus add_colluding_sources(const WebCorpus& corpus, NodeId target_page,
 WebCorpus add_link_exchange(const WebCorpus& corpus,
                             const std::vector<NodeId>& exchange_sources,
                             Pcg32& rng) {
-  check(exchange_sources.size() >= 2,
-        "add_link_exchange: need at least two sources");
+  SRSR_CHECK(exchange_sources.size() >= 2,
+             "add_link_exchange: need at least two sources");
   for (const NodeId s : exchange_sources)
-    check(s < corpus.num_sources(), "add_link_exchange: source out of range");
+    SRSR_CHECK(s < corpus.num_sources(),
+               "add_link_exchange: source out of range");
   WebCorpus out = corpus;
   graph::GraphBuilder b(out.pages);
   for (std::size_t i = 0; i < exchange_sources.size(); ++i) {
@@ -122,12 +125,12 @@ WebCorpus add_link_exchange(const WebCorpus& corpus,
 WebCorpus add_hijack_links(const WebCorpus& corpus,
                            const std::vector<NodeId>& hijacked_pages,
                            NodeId target_page) {
-  check(target_page < corpus.num_pages(),
-        "add_hijack_links: target page out of range");
+  SRSR_CHECK(target_page < corpus.num_pages(),
+             "add_hijack_links: target page out of range");
   WebCorpus out = corpus;
   graph::GraphBuilder b(out.pages);
   for (const NodeId p : hijacked_pages) {
-    check(p < corpus.num_pages(), "add_hijack_links: page out of range");
+    SRSR_CHECK(p < corpus.num_pages(), "add_hijack_links: page out of range");
     b.add_edge(p, target_page);
   }
   out.pages = b.build();
@@ -136,9 +139,9 @@ WebCorpus add_hijack_links(const WebCorpus& corpus,
 
 WebCorpus add_honeypot(const WebCorpus& corpus, NodeId target_page,
                        u32 honeypot_pages, u32 lured_links, Pcg32& rng) {
-  check(target_page < corpus.num_pages(),
-        "add_honeypot: target page out of range");
-  check(honeypot_pages >= 1, "add_honeypot: need at least one page");
+  SRSR_CHECK(target_page < corpus.num_pages(),
+             "add_honeypot: target page out of range");
+  SRSR_CHECK(honeypot_pages >= 1, "add_honeypot: need at least one page");
   WebCorpus out = corpus;
   const NodeId src = append_source(out);
   const NodeId first = append_pages(out, src, honeypot_pages);
@@ -170,10 +173,10 @@ std::vector<NodeId> select_attack_targets(const WebCorpus& corpus,
                                           u32 count, Pcg32& rng,
                                           f64 bottom_fraction) {
   const u32 ns = corpus.num_sources();
-  check(scores.size() == ns && kappa.size() == ns,
-        "select_attack_targets: vector sizes must match source count");
-  check(bottom_fraction > 0.0 && bottom_fraction <= 1.0,
-        "select_attack_targets: bottom_fraction must be in (0,1]");
+  SRSR_CHECK(scores.size() == ns && kappa.size() == ns,
+             "select_attack_targets: vector sizes must match source count");
+  SRSR_CHECK(bottom_fraction > 0.0 && bottom_fraction <= 1.0,
+             "select_attack_targets: bottom_fraction must be in (0,1]");
   // Ascending by score: the bottom of the ranking first.
   std::vector<u32> order(ns);
   std::iota(order.begin(), order.end(), 0);
@@ -190,8 +193,8 @@ std::vector<NodeId> select_attack_targets(const WebCorpus& corpus,
         corpus.source_page_count[s] >= 1)
       eligible.push_back(s);
   }
-  check(eligible.size() >= count,
-        "select_attack_targets: not enough eligible sources");
+  SRSR_CHECK(eligible.size() >= count,
+             "select_attack_targets: not enough eligible sources");
   shuffle(rng, eligible);
   eligible.resize(count);
   std::sort(eligible.begin(), eligible.end());
@@ -199,8 +202,10 @@ std::vector<NodeId> select_attack_targets(const WebCorpus& corpus,
 }
 
 NodeId random_page_of(const WebCorpus& corpus, NodeId source, Pcg32& rng) {
-  check(source < corpus.num_sources(), "random_page_of: source out of range");
-  check(corpus.source_page_count[source] > 0, "random_page_of: empty source");
+  SRSR_CHECK(source < corpus.num_sources(),
+             "random_page_of: source out of range");
+  SRSR_CHECK(corpus.source_page_count[source] > 0,
+             "random_page_of: empty source");
   std::vector<NodeId> pages;
   pages.reserve(corpus.source_page_count[source]);
   for (NodeId p = 0; p < corpus.num_pages(); ++p)

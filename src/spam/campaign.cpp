@@ -1,11 +1,13 @@
 #include "spam/campaign.hpp"
 
+#include "util/check.hpp"
+
 namespace srsr::spam {
 
 CampaignOutcome apply_campaign(const WebCorpus& corpus, NodeId target_page,
                                const CampaignSpec& spec, Pcg32& rng) {
-  check(target_page < corpus.num_pages(),
-        "apply_campaign: target page out of range");
+  SRSR_CHECK(target_page < corpus.num_pages(),
+             "apply_campaign: target page out of range");
   CampaignOutcome out{corpus, {}};
 
   if (spec.intra_farm_pages > 0) {

@@ -1,9 +1,11 @@
 #include "util/bitio.hpp"
 
+#include "util/check.hpp"
+
 namespace srsr {
 
 void BitWriter::write_bits(u64 value, u32 nbits) {
-  check(nbits <= 64, "BitWriter::write_bits: nbits must be <= 64");
+  SRSR_CHECK(nbits <= 64, "BitWriter::write_bits: nbits must be <= 64");
   if (nbits == 0) return;
   if (nbits < 64) value &= (1ULL << nbits) - 1;
   bit_count_ += nbits;
@@ -32,7 +34,7 @@ void BitWriter::write_unary(u64 value) {
 }
 
 void BitWriter::write_gamma(u64 value) {
-  check(value < ~0ULL, "BitWriter::write_gamma: value overflow");
+  SRSR_CHECK(value < ~0ULL, "BitWriter::write_gamma: value overflow");
   const u64 v = value + 1;  // gamma codes positive integers
   const u32 len = bit_width_nonzero(v);
   write_unary(len);
@@ -47,7 +49,7 @@ void BitWriter::write_delta(u64 value) {
 }
 
 void BitWriter::write_zeta(u64 value, u32 k) {
-  check(k >= 1 && k <= 16, "BitWriter::write_zeta: k must be in [1,16]");
+  SRSR_CHECK(k >= 1 && k <= 16, "BitWriter::write_zeta: k must be in [1,16]");
   // Boldi–Vigna zeta_k: find h >= 0 with value+1 in [2^(hk), 2^((h+1)k)),
   // emit unary(h), then the minimal-binary offset in a (hk+k)- or
   // (hk+k-1)-bit field. We use the simpler fixed (hk+k)-bit variant with
@@ -86,8 +88,8 @@ std::vector<u8> BitWriter::finish() {
 }
 
 u64 BitReader::read_bits(u32 nbits) {
-  check(nbits <= 64, "BitReader::read_bits: nbits must be <= 64");
-  check(pos_ + nbits <= size_bits_, "BitReader: read past end of stream");
+  SRSR_CHECK(nbits <= 64, "BitReader::read_bits: nbits must be <= 64");
+  SRSR_CHECK(pos_ + nbits <= size_bits_, "BitReader: read past end of stream");
   u64 out = 0;
   u32 remaining = nbits;
   while (remaining > 0) {
@@ -108,7 +110,7 @@ u64 BitReader::read_bits(u32 nbits) {
 u64 BitReader::read_unary() {
   u64 zeros = 0;
   for (;;) {
-    check(pos_ < size_bits_, "BitReader: unary read past end of stream");
+    SRSR_CHECK(pos_ < size_bits_, "BitReader: unary read past end of stream");
     if (read_bits(1) == 1) return zeros;
     ++zeros;
   }
@@ -118,7 +120,7 @@ u64 BitReader::read_gamma() {
   // Validate BEFORE narrowing: a corrupt unary run of 2^32 + 5 would
   // otherwise truncate to 5 and sail through the length check.
   const u64 len_raw = read_unary();
-  check(len_raw <= 63, "BitReader::read_gamma: corrupt length");
+  SRSR_CHECK(len_raw <= 63, "BitReader::read_gamma: corrupt length");
   const u32 len = static_cast<u32>(len_raw);
   const u64 payload = read_bits(len);
   // write_gamma wrote the low len bits of v (whose bit_width is len), so
@@ -129,7 +131,7 @@ u64 BitReader::read_gamma() {
 
 u64 BitReader::read_delta() {
   const u64 len_raw = read_gamma();
-  check(len_raw <= 63, "BitReader::read_delta: corrupt length");
+  SRSR_CHECK(len_raw <= 63, "BitReader::read_delta: corrupt length");
   const u32 len = static_cast<u32>(len_raw);
   const u64 payload = read_bits(len);
   const u64 v = (1ULL << len) | payload;
@@ -137,9 +139,9 @@ u64 BitReader::read_delta() {
 }
 
 u64 BitReader::read_zeta(u32 k) {
-  check(k >= 1 && k <= 16, "BitReader::read_zeta: k must be in [1,16]");
+  SRSR_CHECK(k >= 1 && k <= 16, "BitReader::read_zeta: k must be in [1,16]");
   const u64 h_raw = read_unary();
-  check(h_raw * k + k <= 64, "BitReader::read_zeta: corrupt");
+  SRSR_CHECK(h_raw * k + k <= 64, "BitReader::read_zeta: corrupt");
   const u32 h = static_cast<u32>(h_raw);
   const u64 lo = 1ULL << (h * k);
   const u64 range_hi = (h * k + k >= 64) ? ~0ULL : (1ULL << (h * k + k));
@@ -167,8 +169,8 @@ u64 varint_decode(const std::vector<u8>& in, std::size_t& pos) {
   u64 out = 0;
   u32 shift = 0;
   for (;;) {
-    check(pos < in.size(), "varint_decode: truncated input");
-    check(shift < 64, "varint_decode: overlong varint");
+    SRSR_CHECK(pos < in.size(), "varint_decode: truncated input");
+    SRSR_CHECK(shift < 64, "varint_decode: overlong varint");
     const u8 b = in[pos++];
     out |= static_cast<u64>(b & 0x7f) << shift;
     if (!(b & 0x80)) return out;

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/check.hpp"
 #include "util/common.hpp"
 
 namespace srsr {
@@ -88,7 +89,7 @@ class BitReader {
 
   u64 bit_pos() const noexcept { return pos_; }
   void seek_bit(u64 bit) {
-    check(bit <= size_bits_, "BitReader::seek_bit: out of range");
+    SRSR_CHECK(bit <= size_bits_, "BitReader::seek_bit: out of range");
     pos_ = bit;
   }
 

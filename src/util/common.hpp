@@ -33,8 +33,11 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Throws srsr::Error with `msg` when `cond` is false. Used for argument
-/// validation on public API boundaries; internal invariants use assert().
+/// Throws srsr::Error with `msg` when `cond` is false. It survives only
+/// because the benchmark harness under bench/suite, which BENCHMARK.json
+/// freezes, still calls it; deleting it would break the benchmark.
+/// Nothing else may call it: state a precondition with SRSR_CHECK
+/// (util/check.hpp). srsr_lint's `contract` rule enforces this.
 inline void check(bool cond, const std::string& msg) {
   if (!cond) throw Error(msg);
 }

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "util/check.hpp"
 #include "util/log.hpp"
 
 namespace srsr {
@@ -18,7 +19,7 @@ std::string maybe_write_csv(const std::string& name, const TextTable& table) {
   std::filesystem::create_directories("bench_out");
   const std::string path = "bench_out/" + name + ".csv";
   std::ofstream out(path);
-  check(out.good(), "maybe_write_csv: cannot open " + path);
+  SRSR_CHECK(out.good(), "maybe_write_csv: cannot open ", path);
   out << table.render_csv();
   log_info("wrote ", path);
   return path;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/check.hpp"
+
 namespace srsr {
 
 Pcg32::Pcg32(u64 seed, u64 seq) : state_(0), inc_((seq << 1u) | 1u) {
@@ -25,7 +27,7 @@ u64 Pcg32::next_u64() {
 }
 
 u32 Pcg32::next_below(u32 bound) {
-  check(bound > 0, "Pcg32::next_below: bound must be positive");
+  SRSR_CHECK(bound > 0, "Pcg32::next_below: bound must be positive");
   // Lemire's nearly-divisionless unbiased bounded draw.
   u64 m = static_cast<u64>(next_u32()) * bound;
   u32 l = static_cast<u32>(m);
@@ -45,14 +47,14 @@ f64 Pcg32::next_real() {
 }
 
 f64 Pcg32::next_real(f64 lo, f64 hi) {
-  check(lo <= hi, "Pcg32::next_real: lo must be <= hi");
+  SRSR_CHECK(lo <= hi, "Pcg32::next_real: lo must be <= hi");
   return lo + (hi - lo) * next_real();
 }
 
 bool Pcg32::next_bool(f64 p) { return next_real() < p; }
 
 std::vector<u32> sample_without_replacement(Pcg32& rng, u32 n, u32 k) {
-  check(k <= n, "sample_without_replacement: k must be <= n");
+  SRSR_CHECK(k <= n, "sample_without_replacement: k must be <= n");
   // Floyd's algorithm: for j in n-k..n-1, pick t in [0, j]; insert t if
   // unseen else insert j. Yields a uniform k-subset.
   std::vector<u32> out;
@@ -75,8 +77,8 @@ std::vector<u32> sample_without_replacement(Pcg32& rng, u32 n, u32 k) {
 }
 
 ZipfSampler::ZipfSampler(u32 n, f64 exponent) : exponent_(exponent) {
-  check(n > 0, "ZipfSampler: n must be positive");
-  check(exponent > 0.0, "ZipfSampler: exponent must be positive");
+  SRSR_CHECK(n > 0, "ZipfSampler: n must be positive");
+  SRSR_CHECK(exponent > 0.0, "ZipfSampler: exponent must be positive");
   cdf_.resize(n);
   f64 acc = 0.0;
   for (u32 i = 0; i < n; ++i) {
@@ -95,13 +97,13 @@ u32 ZipfSampler::sample(Pcg32& rng) const {
 
 AliasSampler::AliasSampler(const std::vector<f64>& weights) {
   const u32 n = static_cast<u32>(weights.size());
-  check(n > 0, "AliasSampler: weights must be non-empty");
+  SRSR_CHECK(n > 0, "AliasSampler: weights must be non-empty");
   f64 sum = 0.0;
   for (const f64 w : weights) {
-    check(w >= 0.0, "AliasSampler: weights must be non-negative");
+    SRSR_CHECK(w >= 0.0, "AliasSampler: weights must be non-negative");
     sum += w;
   }
-  check(sum > 0.0, "AliasSampler: weight sum must be positive");
+  SRSR_CHECK(sum > 0.0, "AliasSampler: weight sum must be positive");
 
   prob_.assign(n, 0.0);
   alias_.assign(n, 0);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/check.hpp"
+
 namespace srsr {
 
 Summary summarize(std::span<const f64> values) {
@@ -29,8 +31,8 @@ Summary summarize(std::span<const f64> values) {
 }
 
 f64 quantile(std::span<const f64> values, f64 q) {
-  check(!values.empty(), "quantile: empty sample");
-  check(q >= 0.0 && q <= 1.0, "quantile: q must be in [0,1]");
+  SRSR_CHECK(!values.empty(), "quantile: empty sample");
+  SRSR_CHECK(q >= 0.0 && q <= 1.0, "quantile: q must be in [0,1]");
   std::vector<f64> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
   const f64 pos = q * static_cast<f64>(sorted.size() - 1);
@@ -41,14 +43,14 @@ f64 quantile(std::span<const f64> values, f64 q) {
 }
 
 f64 l1_distance(std::span<const f64> a, std::span<const f64> b) {
-  check(a.size() == b.size(), "l1_distance: size mismatch");
+  SRSR_CHECK(a.size() == b.size(), "l1_distance: size mismatch");
   f64 d = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) d += std::abs(a[i] - b[i]);
   return d;
 }
 
 f64 l2_distance(std::span<const f64> a, std::span<const f64> b) {
-  check(a.size() == b.size(), "l2_distance: size mismatch");
+  SRSR_CHECK(a.size() == b.size(), "l2_distance: size mismatch");
   f64 d = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
     const f64 diff = a[i] - b[i];
@@ -58,7 +60,7 @@ f64 l2_distance(std::span<const f64> a, std::span<const f64> b) {
 }
 
 f64 linf_distance(std::span<const f64> a, std::span<const f64> b) {
-  check(a.size() == b.size(), "linf_distance: size mismatch");
+  SRSR_CHECK(a.size() == b.size(), "linf_distance: size mismatch");
   f64 d = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i)
     d = std::max(d, std::abs(a[i] - b[i]));

@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cmath>
 
+#include "util/check.hpp"
+
 namespace srsr {
 
 std::vector<std::string_view> split(std::string_view s,
@@ -41,32 +43,28 @@ bool starts_with(std::string_view s, std::string_view prefix) noexcept {
 }
 
 u64 parse_u64(std::string_view s) {
-  check(!s.empty(), "parse_u64: empty input");
   u64 out = 0;
-  for (const char c : s) {
-    check(c >= '0' && c <= '9', "parse_u64: non-digit in '" + std::string(s) + "'");
-    const u64 digit = static_cast<u64>(c - '0');
-    check(out <= (~0ULL - digit) / 10, "parse_u64: overflow in '" + std::string(s) + "'");
-    out = out * 10 + digit;
-  }
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  SRSR_CHECK(ec == std::errc() && ptr == end,
+             "parse_u64: not an unsigned 64-bit decimal: '", s, "'");
   return out;
 }
 
 f64 parse_f64(std::string_view s) {
   const std::string_view t = trim(s);
-  check(!t.empty(), "parse_f64: empty input");
+  SRSR_CHECK(!t.empty(), "parse_f64: empty input");
   f64 out = 0.0;
   const auto [ptr, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
-  check(ec == std::errc() && ptr == t.data() + t.size(),
-        "parse_f64: malformed number '" + std::string(s) + "'");
-  check(std::isfinite(out),
-        "parse_f64: non-finite value '" + std::string(s) + "'");
+  SRSR_CHECK(ec == std::errc() && ptr == t.data() + t.size(),
+             "parse_f64: malformed number '", s, "'");
+  SRSR_CHECK(std::isfinite(out), "parse_f64: non-finite value '", s, "'");
   return out;
 }
 
 std::string host_of(std::string_view url) {
   std::string_view rest = trim(url);
-  check(!rest.empty(), "host_of: empty URL");
+  SRSR_CHECK(!rest.empty(), "host_of: empty URL");
   // Strip a scheme if present ("http://", "https://", "ftp://", ...).
   const std::size_t scheme = rest.find("://");
   if (scheme != std::string_view::npos) rest = rest.substr(scheme + 3);
@@ -78,7 +76,7 @@ std::string host_of(std::string_view url) {
   if (at != std::string_view::npos) host = host.substr(at + 1);
   const std::size_t colon = host.find(':');
   if (colon != std::string_view::npos) host = host.substr(0, colon);
-  check(!host.empty(), "host_of: no host in URL '" + std::string(url) + "'");
+  SRSR_CHECK(!host.empty(), "host_of: no host in URL '", url, "'");
   return to_lower(host);
 }
 

@@ -23,9 +23,10 @@ std::string to_lower(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 
-/// Parses a non-negative integer; throws srsr::Error on malformed input
-/// or overflow. Used by the edge-list readers, where silent garbage-in
-/// must not become garbage graph structure.
+/// Parses a non-negative integer: ASCII digits only, no sign or
+/// whitespace. Throws srsr::Error on any other input or on overflow.
+/// Used by the edge-list readers, where silent garbage-in must not
+/// become garbage graph structure.
 u64 parse_u64(std::string_view s);
 
 /// Parses a finite double; throws srsr::Error on malformed or trailing

@@ -4,18 +4,19 @@
 #include <iomanip>
 #include <sstream>
 
+#include "util/check.hpp"
 #include "util/strings.hpp"
 
 namespace srsr {
 
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
-  check(!headers_.empty(), "TextTable: need at least one column");
+  SRSR_CHECK(!headers_.empty(), "TextTable: need at least one column");
 }
 
 void TextTable::add_row(std::vector<std::string> cells) {
-  check(cells.size() == headers_.size(),
-        "TextTable::add_row: cell count does not match header count");
+  SRSR_CHECK(cells.size() == headers_.size(),
+             "TextTable::add_row: cell count does not match header count");
   rows_.push_back(std::move(cells));
 }
 

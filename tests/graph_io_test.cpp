@@ -61,6 +61,26 @@ TEST(EdgeListIo, RejectsMalformedLines) {
   EXPECT_THROW(read_edge_list(garbage), Error);
 }
 
+/// The what() of the Error `read` throws ("" when it does not throw).
+template <typename Read>
+std::string error_of(Read read) {
+  try {
+    read();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(EdgeListIo, BadIdNamesItsLine) {
+  for (const char* text : {"0 1\n# c\n2 x\n", "0 1\n\n-2 0\n",
+                           "0 1\n0 2\n99999999999999999999 0\n"}) {
+    std::stringstream ss(text);
+    const std::string what = error_of([&] { read_edge_list(ss); });
+    EXPECT_NE(what.find("line 3"), std::string::npos) << text << ": " << what;
+  }
+}
+
 TEST(EdgeListIo, EmptyInputIsEmptyGraph) {
   std::stringstream ss("# nothing\n");
   const Graph g = read_edge_list(ss);
@@ -154,6 +174,23 @@ TEST(UrlCorpus, RejectsSparseOrDuplicateIds) {
     std::stringstream pages("0 http://a.example/\n0 http://b.example/\n");
     std::stringstream edges("");
     EXPECT_THROW(read_url_corpus(pages, edges), Error);
+  }
+}
+
+TEST(UrlCorpus, BadIdNamesItsLine) {
+  {
+    std::stringstream pages("0 http://a.example/\nx1 http://b.example/\n");
+    std::stringstream edges("");
+    const std::string what =
+        error_of([&] { read_url_corpus(pages, edges); });
+    EXPECT_NE(what.find("pages line 2"), std::string::npos) << what;
+  }
+  {
+    std::stringstream pages("0 http://a.example/\n1 http://b.example/\n");
+    std::stringstream edges("0 1\n1 +0\n");
+    const std::string what =
+        error_of([&] { read_url_corpus(pages, edges); });
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
   }
 }
 

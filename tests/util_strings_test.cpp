@@ -63,6 +63,9 @@ TEST(ParseU64, RejectsGarbage) {
   EXPECT_THROW(parse_u64("-1"), Error);
   EXPECT_THROW(parse_u64("12a"), Error);
   EXPECT_THROW(parse_u64("18446744073709551616"), Error);  // overflow
+  EXPECT_THROW(parse_u64("+1"), Error);
+  EXPECT_THROW(parse_u64(" 1"), Error);
+  EXPECT_THROW(parse_u64("1 "), Error);
 }
 
 TEST(HostOf, SchemeAndPathStripped) {

@@ -70,7 +70,7 @@ CASES = [
      True, []),
     ("srsr_lint/bad",
      [LINT, "--repo", f"{FIX}/lint_bad", "--no-headers"],
-     False, ["rng", "stdout"]),
+     False, ["rng", "stdout", "contract"]),
     ("expfmt/good", [EXPFMT, f"{FIX}/expfmt/good.txt"], True, []),
     ("expfmt/bad", [EXPFMT, f"{FIX}/expfmt/bad.txt"], False, ["_total"]),
 ]

@@ -34,6 +34,12 @@ Rules (each can be waived per line with `// srsr-lint: allow(<rule>)`):
              lint time keeps the failure out of production telemetry
              paths. Dynamically composed names (prefix + "…") are
              checked at runtime only.
+  contract   a bare check(...) call anywhere outside bench/suite/
+             (tests/ included) — preconditions go through SRSR_CHECK
+             (util/check.hpp), which builds its message only on failure
+             and names file:line and the expression. srsr::check in
+             util/common.hpp survives only for the frozen bench/suite
+             harness.
 
 Exit code 0 when clean, 1 with a file:line listing otherwise.
 """
@@ -63,6 +69,12 @@ RE_THREAD = re.compile(r"std::(?:jthread|thread)\b")
 # very literal being checked).
 RE_METRIC_NAME = re.compile(
     r"\.(?:counter|gauge|histogram)\s*\(\s*\"(?!srsr\.)")
+# A call of the free function check(...) or srsr::check(...); members
+# (x.check(), p->check()) and other names ending in check do not match.
+RE_CHECK_CALL = re.compile(r"(?:(?<![\w:.>])|(?<=srsr::))check\s*\(")
+# What may precede `check(` when the line declares it instead of calling.
+RE_CHECK_DECL = re.compile(
+    r"\b(?!(?:return|else|do|case)\b)[A-Za-z_][\w:<>]*(?:\s+|\s*[&*]\s*)$")
 SRC_EXTS = (".cpp", ".hpp")
 
 
@@ -203,6 +215,27 @@ class Linter:
             self.fail(path, catch_line, "catch-all",
                       "catch (...) must rethrow (`throw;`)")
 
+    def lint_contract(self, path: str) -> None:
+        rel = os.path.relpath(path, self.repo).replace(os.sep, "/")
+        if rel.startswith("bench/suite/"):
+            return
+        with open(path, encoding="utf-8") as f:
+            raw_lines = f.read().splitlines()
+        for lineno, raw in enumerate(raw_lines, start=1):
+            line = strip_comments_and_strings(raw)
+            for m in RE_CHECK_CALL.finditer(line):
+                before = line[:m.start()]
+                if before.endswith("srsr::"):
+                    before = before[:-len("srsr::")]
+                if RE_CHECK_DECL.search(before):
+                    continue
+                if not self.waived(raw, "contract"):
+                    self.fail(path, lineno, "contract",
+                              "bare check() — use SRSR_CHECK "
+                              "(util/check.hpp); srsr::check is kept "
+                              "only for bench/suite")
+                break
+
     # -- header rules ----------------------------------------------------
 
     def lint_pragma_once(self, path: str) -> None:
@@ -244,8 +277,11 @@ def main() -> int:
     lint = Linter(repo)
 
     src_headers = []
+    for path in iter_sources(repo, ["tests"]):
+        lint.lint_contract(path)
     for path in iter_sources(repo, ["src", "tools", "bench", "examples"]):
         lint.lint_lines(path)
+        lint.lint_contract(path)
         if path.endswith(".hpp"):
             lint.lint_pragma_once(path)
             rel = os.path.relpath(path, repo).replace(os.sep, "/")

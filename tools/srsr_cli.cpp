@@ -94,6 +94,7 @@
 #include "stream/dynamic_graph.hpp"
 #include "stream/edge_stream.hpp"
 #include "stream/incremental.hpp"
+#include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -110,10 +111,10 @@ class Args {
   Args(int argc, char** argv, std::span<const std::string_view> known) {
     for (int i = 2; i < argc; ++i) {
       std::string key = argv[i];
-      check(starts_with(key, "--"), "unexpected argument '" + key + "'");
+      SRSR_CHECK(starts_with(key, "--"), "unexpected argument '", key, "'");
       key = key.substr(2);
-      check(std::find(known.begin(), known.end(), key) != known.end(),
-            "unknown option --" + key);
+      SRSR_CHECK(std::find(known.begin(), known.end(), key) != known.end(),
+                 "unknown option --", key);
       if (i + 1 < argc && !starts_with(argv[i + 1], "--")) {
         values_[key] = argv[++i];
       } else {
@@ -130,7 +131,7 @@ class Args {
   }
 
   std::string require(const std::string& key) const {
-    check(has(key), "missing required option --" + key);
+    SRSR_CHECK(has(key), "missing required option --", key);
     return values_.at(key);
   }
 
@@ -158,9 +159,9 @@ struct LoadedCrawl {
 LoadedCrawl load_crawl(const std::string& dir) {
   namespace fs = std::filesystem;
   std::ifstream pages(fs::path(dir) / "pages.txt");
-  check(pages.good(), "cannot open " + dir + "/pages.txt");
+  SRSR_CHECK(pages.good(), "cannot open ", dir, "/pages.txt");
   std::ifstream edges(fs::path(dir) / "edges.txt");
-  check(edges.good(), "cannot open " + dir + "/edges.txt");
+  SRSR_CHECK(edges.good(), "cannot open ", dir, "/edges.txt");
   LoadedCrawl out{graph::read_url_corpus(pages, edges), {}};
   std::ifstream labels(fs::path(dir) / "labels.txt");
   if (labels.good())
@@ -214,11 +215,11 @@ int cmd_rank(const Args& args) {
   const f64 alpha = args.get_f64("alpha", 0.85);
   const std::string trace_path = args.get("trace", "");
   const bool tracing = args.has("trace");
-  check(!tracing || !trace_path.empty(), "--trace needs a file path");
+  SRSR_CHECK(!tracing || !trace_path.empty(), "--trace needs a file path");
   if (tracing) obs::set_metrics_enabled(true);
   const std::string trace_out = args.get("trace-out", "");
-  check(!args.has("trace-out") || !trace_out.empty(),
-        "--trace-out needs a file path");
+  SRSR_CHECK(!args.has("trace-out") || !trace_out.empty(),
+             "--trace-out needs a file path");
   if (!trace_out.empty()) obs::set_tracing_enabled(true);
   // Root span of the whole command: the model/solve spans opened deeper
   // in the library nest under it through the thread-local cursor. A
@@ -371,11 +372,11 @@ int cmd_sweep(const Args& args) {
   const u32 configs =
       static_cast<u32>(std::max<u64>(1, args.get_u64("configs", 5)));
   const std::string mode_name = args.get("mode", "discard");
-  check(mode_name == "absorb" || mode_name == "discard",
-        "--mode must be absorb or discard");
+  SRSR_CHECK(mode_name == "absorb" || mode_name == "discard",
+             "--mode must be absorb or discard");
   const std::string trace_out = args.get("trace-out", "");
-  check(!args.has("trace-out") || !trace_out.empty(),
-        "--trace-out needs a file path");
+  SRSR_CHECK(!args.has("trace-out") || !trace_out.empty(),
+             "--trace-out needs a file path");
   if (!trace_out.empty()) obs::set_tracing_enabled(true);
   obs::Span root_span("cli.sweep");
 
@@ -440,8 +441,8 @@ int cmd_serve(const Args& args) {
   const std::string in_dir = args.require("in");
   const f64 alpha = args.get_f64("alpha", 0.85);
   const std::string mode_name = args.get("mode", "discard");
-  check(mode_name == "absorb" || mode_name == "discard",
-        "--mode must be absorb or discard");
+  SRSR_CHECK(mode_name == "absorb" || mode_name == "discard",
+             "--mode must be absorb or discard");
   if (args.has("metrics")) obs::set_metrics_enabled(true);
   // Tracing is always on in serve: the per-query cost is a few ring
   // writes, and it makes the `tracefile` request useful without a
@@ -531,8 +532,8 @@ int cmd_serve(const Args& args) {
   pipeline->drain();
   {
     const auto st = pipeline->stats();
-    check(st.published == 1, "serve: initial snapshot failed: " +
-                                 st.last_error);
+    SRSR_CHECK(st.published == 1, "serve: initial snapshot failed: ",
+               st.last_error);
   }
   std::cout << "serve ready: " << corpus.num_sources() << " sources, epoch "
             << store.epoch() << ", policy " << policy_name
@@ -776,8 +777,8 @@ int cmd_serve(const Args& args) {
 int cmd_audit(const Args& args) {
   const auto crawl = load_crawl(args.require("in"));
   const auto& corpus = crawl.corpus;
-  check(!crawl.spam_seeds.empty(),
-        "audit needs labels.txt with at least one known host");
+  SRSR_CHECK(!crawl.spam_seeds.empty(),
+             "audit needs labels.txt with at least one known host");
   const u32 top_k =
       static_cast<u32>(args.get_u64("topk", 2 * crawl.spam_seeds.size()));
 
@@ -810,7 +811,8 @@ int cmd_attack(const Args& args) {
   const auto& corpus = crawl.corpus;
   const NodeId target_source =
       static_cast<NodeId>(args.get_u64("target-source", 0));
-  check(target_source < corpus.num_sources(), "target source out of range");
+  SRSR_CHECK(target_source < corpus.num_sources(),
+             "target source out of range");
   const u32 pages = static_cast<u32>(args.get_u64("pages", 100));
   const NodeId target_page = corpus.source_first_page[target_source];
 
