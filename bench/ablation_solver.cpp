@@ -5,7 +5,6 @@
 #include "bench/common.hpp"
 #include "core/source_graph.hpp"
 #include "metrics/ranking.hpp"
-#include "rank/gauss_seidel.hpp"
 #include "rank/push.hpp"
 #include "rank/solvers.hpp"
 

@@ -21,7 +21,7 @@ void run() {
     const auto attacked = spam::add_intra_source_farm(corpus, target, tau);
     const auto cold = rank::pagerank(attacked.pages, paper_pagerank_config());
 
-    rank::PageRankConfig warm_cfg = paper_pagerank_config();
+    rank::SolverConfig warm_cfg = paper_pagerank_config();
     // The attacked graph has tau extra pages; extend the clean vector
     // with zeros (new pages start with no mass — the solver renormalizes).
     std::vector<f64> init = clean.scores;

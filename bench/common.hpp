@@ -28,8 +28,8 @@ inline rank::Convergence paper_convergence() {
 
 inline constexpr f64 kAlpha = 0.85;
 
-inline rank::PageRankConfig paper_pagerank_config() {
-  rank::PageRankConfig cfg;
+inline rank::SolverConfig paper_pagerank_config() {
+  rank::SolverConfig cfg;
   cfg.alpha = kAlpha;
   cfg.convergence = paper_convergence();
   return cfg;

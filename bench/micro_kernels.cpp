@@ -25,7 +25,6 @@
 #include "graph/webgen.hpp"
 #include "rank/operator.hpp"
 #include "rank/pagerank.hpp"
-#include "rank/gauss_seidel.hpp"
 #include "rank/push.hpp"
 #include "rank/solvers.hpp"
 #include "search/engine.hpp"
@@ -101,7 +100,7 @@ BENCHMARK(BM_WebCorpusGeneration)->Arg(500)->Arg(2000)->Unit(benchmark::kMillise
 void BM_PageRankSolve(benchmark::State& state) {
   const auto& corpus = corpus_of(static_cast<u32>(state.range(0)));
   const rank::PageRank solver(corpus.pages);
-  rank::PageRankConfig cfg;
+  rank::SolverConfig cfg;
   cfg.convergence.tolerance = 1e-9;
   for (auto _ : state) {
     const auto r = solver.solve(cfg);

@@ -58,7 +58,7 @@ enum class RankingSystem {
 struct SpammerModelConfig {
   AttackCostModel costs;
   SrsrConfig srsr;  // alpha/solver/throttle-mode for the source systems
-  rank::PageRankConfig pagerank;
+  rank::SolverConfig pagerank;
   /// Defender inputs for kThrottledSrsr: labeled seeds and the top-k
   /// throttle budget. The defender recomputes proximity on whatever
   /// graph the spammer produces.

@@ -34,7 +34,7 @@ rank::RankResult spam_proximity(const graph::Graph& source_topology,
     teleport[s] = 1.0;
   }
 
-  rank::PageRankConfig pr;
+  rank::SolverConfig pr;
   pr.alpha = config.beta;
   pr.convergence = config.convergence;
   pr.teleport = std::move(teleport);

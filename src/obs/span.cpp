@@ -46,14 +46,16 @@ struct ThreadRing {
 
 /// Registry of all thread rings. Rings are leaked deliberately: a
 /// detached thread's spans must stay collectable after the thread
-/// exits, and the registry lives for the process anyway.
+/// exits. The registry itself is never destroyed either, so the rings
+/// stay reachable through it at exit (a destroyed `rings` vector would
+/// turn every ring into a leak report under LeakSanitizer).
 struct RingRegistry {
   std::mutex mutex;
   std::vector<ThreadRing*> rings;
 
   static RingRegistry& instance() {
-    static RingRegistry reg;
-    return reg;
+    static auto* const reg = new RingRegistry;
+    return *reg;
   }
 
   ThreadRing* make_ring() {

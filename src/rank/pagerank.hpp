@@ -2,7 +2,8 @@
 //
 // This is the baseline the paper attacks: pi = alpha * M^T pi + (1-alpha) e
 // (Eq. 1), solved by the power method on the teleportation-completed
-// Markov chain. Implementation notes:
+// Markov chain. It runs through the stationary-iteration driver of
+// rank/solvers.hpp with its own graph kernel:
 //
 //   - Pull iteration over the reverse graph: next[v] is accumulated from
 //     v's in-neighbors, so rows parallelize with no atomics (the reverse
@@ -13,40 +14,27 @@
 //     completion), keeping the iterate a probability distribution.
 //   - Personalized teleport: pass a non-uniform `teleport` distribution
 //     (used by TrustRank and by the paper's spam-proximity walk).
+//   - Warm start: SolverConfig::initial; the attack harness re-ranks
+//     graphs that differ by a handful of edges from the previous
+//     solution.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "rank/convergence.hpp"
-#include "rank/result.hpp"
+#include "rank/solvers.hpp"
 #include "util/common.hpp"
 
 namespace srsr::rank {
-
-struct PageRankConfig {
-  /// Mixing parameter alpha (the paper uses 0.85 throughout).
-  f64 alpha = 0.85;
-  Convergence convergence;
-  /// Optional teleport distribution (size n, non-negative, sum ~1);
-  /// default is the uniform vector e = (1/n, ..., 1/n).
-  std::optional<std::vector<f64>> teleport;
-  /// Optional warm start (size n, non-negative, positive mass; it is
-  /// normalized before use). The attack harness re-ranks graphs that
-  /// differ by a handful of edges; starting from the previous solution
-  /// typically cuts iterations severalfold. The fixed point is
-  /// unchanged — only the path to it.
-  std::optional<std::vector<f64>> initial;
-};
 
 /// Reusable PageRank solver bound to one graph topology.
 class PageRank {
  public:
   explicit PageRank(const graph::Graph& g);
 
-  /// Runs the power method from the uniform start vector.
-  RankResult solve(const PageRankConfig& config) const;
+  /// Runs the power method from the uniform start vector (or the
+  /// config's warm start).
+  RankResult solve(const SolverConfig& config) const;
 
   const graph::Graph& graph() const { return *graph_; }
 
@@ -58,6 +46,6 @@ class PageRank {
 };
 
 /// One-shot convenience wrapper.
-RankResult pagerank(const graph::Graph& g, const PageRankConfig& config = {});
+RankResult pagerank(const graph::Graph& g, const SolverConfig& config = {});
 
 }  // namespace srsr::rank

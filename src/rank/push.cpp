@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
+#include "rank/solvers.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -10,19 +11,14 @@ namespace srsr::rank {
 
 namespace {
 
+/// The seed residual r = c: the configured teleport (checked by the
+/// solvers' validate_solver_config) L1-normalized, or uniform.
 std::vector<f64> make_teleport(const PushConfig& config, NodeId n) {
+  validate_solver_config(config.alpha, config.teleport, std::nullopt, n);
   if (!config.teleport) return std::vector<f64>(n, 1.0 / static_cast<f64>(n));
-  const auto& t = *config.teleport;
-  SRSR_CHECK(t.size() == n, "push: teleport size mismatch (", t.size(),
-             " entries, ", n, " rows)");
+  std::vector<f64> out(*config.teleport);
   f64 sum = 0.0;
-  for (const f64 v : t) {
-    SRSR_CHECK(std::isfinite(v), "push: teleport entry is not finite");
-    SRSR_CHECK(v >= 0.0, "push: teleport entries must be non-negative");
-    sum += v;
-  }
-  SRSR_CHECK(sum > 0.0, "push: teleport must have positive mass");
-  std::vector<f64> out(t);
+  for (const f64 v : out) sum += v;
   for (f64& v : out) v /= sum;
   return out;
 }

@@ -14,7 +14,7 @@ RankResult trustrank(const graph::Graph& g,
     SRSR_CHECK(s < g.num_nodes(), "trustrank: seed id out of range");
     teleport[s] = 1.0;
   }
-  PageRankConfig pr;
+  SolverConfig pr;
   pr.alpha = config.alpha;
   // The trace pointer rides along in the copied Convergence, so an
   // attached IterationTrace observes the underlying PageRank solve.

@@ -72,7 +72,7 @@ TEST(Srsr, IdentityMapUniformWeightsEqualsPageRank) {
   const SourceMap map = SourceMap::identity(g.num_nodes());
   const SpamResilientSourceRank srsr(g, map, cfg);
   const auto source_rank = srsr.rank_baseline();
-  rank::PageRankConfig pr;
+  rank::SolverConfig pr;
   pr.convergence.tolerance = 1e-12;
   pr.convergence.max_iterations = 5000;
   const auto page_rank = rank::pagerank(g, pr);

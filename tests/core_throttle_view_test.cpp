@@ -11,7 +11,6 @@
 
 #include <vector>
 
-#include "rank/gauss_seidel.hpp"
 #include "rank/operator.hpp"
 #include "rank/push.hpp"
 #include "rank/solvers.hpp"

@@ -30,8 +30,8 @@ core::SrsrConfig srsr_config() {
   return cfg;
 }
 
-rank::PageRankConfig pr_config() {
-  rank::PageRankConfig cfg;
+rank::SolverConfig pr_config() {
+  rank::SolverConfig cfg;
   cfg.convergence.tolerance = 1e-10;
   cfg.convergence.max_iterations = 2000;
   return cfg;

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "graph/builder.hpp"
+#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "rank/gauss_seidel.hpp"
 #include "rank/pagerank.hpp"
 #include "rank/push.hpp"
 #include "rank/solvers.hpp"
@@ -27,8 +31,8 @@ graph::Graph three_nodes() {
 /// L1 residuals of the power method on a completed chain contract by
 /// alpha each step, so monotonicity holds exactly under kL1 (it does
 /// NOT under kL2 — the default stays kL2; tracing tests pin kL1).
-PageRankConfig traced_config(obs::IterationTrace* trace) {
-  PageRankConfig cfg;
+SolverConfig traced_config(obs::IterationTrace* trace) {
+  SolverConfig cfg;
   cfg.convergence.norm = Norm::kL1;
   cfg.convergence.tolerance = 1e-10;
   cfg.convergence.max_iterations = 500;
@@ -142,7 +146,7 @@ TEST(ObsTrace, PushEmitsSweepEquivalents) {
 }
 
 TEST(ObsTrace, SummaryFilledWithoutTrace) {
-  PageRankConfig cfg;
+  SolverConfig cfg;
   cfg.convergence.tolerance = 1e-10;
   cfg.convergence.max_iterations = 500;
   ASSERT_EQ(cfg.convergence.trace, nullptr);
@@ -163,6 +167,56 @@ TEST(ObsTrace, IterationsPerSecondSanity) {
   }
   RankResult zero;
   EXPECT_EQ(zero.iterations_per_second(), 0.0);
+}
+
+// Every solver on the stationary-iteration driver records the same
+// srsr.rank.<name>.{solves,iterations,seconds} metrics and opens one
+// rank.<name>.solve span. The frozen bench suite reads the pagerank
+// names for the spam-proximity walk, so they are pinned here.
+TEST(ObsTrace, EverySolverRecordsItsMetricsAndSpan) {
+  const graph::Graph g = three_nodes();
+  const auto m = StochasticMatrix::uniform_from_graph(g);
+  const SolverConfig sc = traced_config(nullptr);
+  struct Case {
+    const char* name;
+    std::function<RankResult()> solve;
+  };
+  const std::vector<Case> cases = {
+      {"power", [&] { return power_solve(m, sc); }},
+      {"jacobi", [&] { return jacobi_solve(m, sc); }},
+      {"gauss_seidel", [&] { return gauss_seidel_solve(m, sc); }},
+      {"pagerank", [&] { return pagerank(g, sc); }},
+  };
+
+  const bool metrics_were_on = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::set_tracing_enabled(true);
+  auto& reg = obs::MetricsRegistry::instance();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::string prefix = std::string("srsr.rank.") + c.name;
+    auto& solves = reg.counter(prefix + ".solves");
+    auto& iterations = reg.counter(prefix + ".iterations");
+    auto& seconds = reg.histogram(prefix + ".seconds");
+    const u64 solves0 = solves.value();
+    const u64 iterations0 = iterations.value();
+    const u64 seconds0 = seconds.count();
+    obs::clear_spans();
+
+    const RankResult r = c.solve();
+    ASSERT_TRUE(r.converged);
+    EXPECT_EQ(solves.value() - solves0, 1u);
+    EXPECT_EQ(iterations.value() - iterations0, r.iterations);
+    EXPECT_EQ(seconds.count() - seconds0, 1u);
+    const std::string span = std::string("rank.") + c.name + ".solve";
+    u32 opened = 0;
+    for (const obs::SpanRecord& rec : obs::collect_spans())
+      opened += span == rec.name;
+    EXPECT_EQ(opened, 1u);
+  }
+  obs::set_tracing_enabled(false);
+  obs::clear_spans();
+  obs::set_metrics_enabled(metrics_were_on);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tests for the Gauss-Seidel solver (rank/gauss_seidel.hpp).
-#include "rank/gauss_seidel.hpp"
+// Tests for the Gauss-Seidel solver (gauss_seidel_solve in rank/solvers.hpp).
+#include "rank/solvers.hpp"
 
 #include <gtest/gtest.h>
 

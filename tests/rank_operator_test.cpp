@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "rank/gauss_seidel.hpp"
 #include "rank/push.hpp"
 #include "rank/solvers.hpp"
 

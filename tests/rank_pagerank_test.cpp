@@ -17,8 +17,8 @@ namespace {
 
 constexpr f64 kTol = 1e-7;  // solver tolerance 1e-9 => scores good to ~1e-8
 
-PageRankConfig tight() {
-  PageRankConfig cfg;
+SolverConfig tight() {
+  SolverConfig cfg;
   cfg.convergence.tolerance = 1e-12;
   cfg.convergence.max_iterations = 5000;  // enough even for alpha = 0.99
   return cfg;
@@ -85,14 +85,14 @@ TEST(PageRank, TwoNodePathWithDanglingClosedForm) {
 }
 
 TEST(PageRank, AlphaZeroIsTeleportOnly) {
-  PageRankConfig cfg = tight();
+  SolverConfig cfg = tight();
   cfg.alpha = 0.0;
   const auto r = pagerank(graph::path(5), cfg);
   for (const f64 v : r.scores) EXPECT_NEAR(v, 0.2, kTol);
 }
 
 TEST(PageRank, RejectsAlphaOne) {
-  PageRankConfig cfg;
+  SolverConfig cfg;
   cfg.alpha = 1.0;
   EXPECT_THROW(pagerank(graph::cycle(3), cfg), Error);
 }
@@ -133,7 +133,7 @@ TEST(PageRank, PermutationEquivariance) {
 TEST(PageRank, PersonalizedTeleportBiasesScores) {
   // Teleport only to node 0 in a cycle: node 0 must dominate.
   const auto g = graph::cycle(10);
-  PageRankConfig cfg = tight();
+  SolverConfig cfg = tight();
   cfg.teleport = std::vector<f64>(10, 0.0);
   (*cfg.teleport)[0] = 1.0;
   const auto r = pagerank(g, cfg);
@@ -145,7 +145,7 @@ TEST(PageRank, PersonalizedTeleportBiasesScores) {
 }
 
 TEST(PageRank, TeleportValidation) {
-  PageRankConfig cfg;
+  SolverConfig cfg;
   cfg.teleport = std::vector<f64>{0.5, 0.5, 0.0};  // wrong size for cycle(2)
   EXPECT_THROW(pagerank(graph::cycle(2), cfg), Error);
   cfg.teleport = std::vector<f64>{0.0, 0.0};
@@ -155,7 +155,7 @@ TEST(PageRank, TeleportValidation) {
 }
 
 TEST(PageRank, UnnormalizedTeleportIsNormalized) {
-  PageRankConfig a = tight(), b = tight();
+  SolverConfig a = tight(), b = tight();
   a.teleport = std::vector<f64>{1.0, 1.0, 1.0};
   b.teleport = std::vector<f64>{10.0, 10.0, 10.0};
   const auto g = graph::cycle(3);
@@ -172,7 +172,7 @@ TEST(PageRank, ReportsIterationsAndResidual) {
 }
 
 TEST(PageRank, HitsIterationCapWithoutConvergence) {
-  PageRankConfig cfg;
+  SolverConfig cfg;
   cfg.convergence.tolerance = 0.0;  // unreachable
   cfg.convergence.max_iterations = 5;
   const auto r = pagerank(graph::cycle(5), cfg);
@@ -184,8 +184,8 @@ TEST(PageRank, SolverReuseAcrossConfigs) {
   Pcg32 rng(43);
   const auto g = graph::erdos_renyi(50, 0.1, rng);
   const PageRank solver(g);
-  PageRankConfig c1 = tight();
-  PageRankConfig c2 = tight();
+  SolverConfig c1 = tight();
+  SolverConfig c2 = tight();
   c2.alpha = 0.5;
   const auto r1 = solver.solve(c1);
   const auto r2 = solver.solve(c2);
@@ -207,7 +207,7 @@ class PageRankAlphaSweep : public ::testing::TestWithParam<f64> {};
 TEST_P(PageRankAlphaSweep, DistributionAndConvergence) {
   Pcg32 rng(44);
   const auto g = graph::erdos_renyi(100, 0.05, rng);
-  PageRankConfig cfg = tight();
+  SolverConfig cfg = tight();
   cfg.alpha = GetParam();
   const auto r = pagerank(g, cfg);
   EXPECT_TRUE(r.converged);

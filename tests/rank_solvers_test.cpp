@@ -5,11 +5,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <vector>
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/transforms.hpp"
 #include "rank/pagerank.hpp"
+#include "rank/push.hpp"
 #include "util/rng.hpp"
 
 namespace srsr::rank {
@@ -36,7 +40,7 @@ TEST(PowerSolve, MatchesUnweightedPageRank) {
   const auto g = graph::erdos_renyi(120, 0.05, rng);
   const auto m = StochasticMatrix::uniform_from_graph(g);
   const auto weighted = power_solve(m, tight());
-  PageRankConfig pr;
+  SolverConfig pr;
   pr.convergence.tolerance = 1e-12;
   pr.convergence.max_iterations = 5000;
   const auto unweighted = pagerank(g, pr);
@@ -140,13 +144,59 @@ TEST(Solvers, CustomTeleportBias) {
 }
 
 TEST(Solvers, RejectBadConfig) {
-  const auto m = StochasticMatrix::uniform_from_graph(graph::cycle(3));
-  SolverConfig cfg;
-  cfg.alpha = 1.0;
-  EXPECT_THROW(power_solve(m, cfg), Error);
-  cfg.alpha = 0.85;
-  cfg.teleport = std::vector<f64>{1.0};  // wrong size
-  EXPECT_THROW(power_solve(m, cfg), Error);
+  const auto g = graph::cycle(3);
+  const auto m = StochasticMatrix::uniform_from_graph(g);
+  const StochasticMatrix mt = m.transpose();
+  const ThrottledView view(m, mt, identity_plan(m));
+  const PageRank pr(g);
+  // Every public entry checks its own config: power, Jacobi and
+  // Gauss-Seidel in both forms, PageRank and push.
+  const std::vector<std::function<void(const SolverConfig&)>> solvers = {
+      [&](const SolverConfig& c) { power_solve(m, c); },
+      [&](const SolverConfig& c) { power_solve(view, c); },
+      [&](const SolverConfig& c) { jacobi_solve(m, c); },
+      [&](const SolverConfig& c) { jacobi_solve(view, c); },
+      [&](const SolverConfig& c) { gauss_seidel_solve(m, c); },
+      [&](const SolverConfig& c) { gauss_seidel_solve(view, c); },
+      [&](const SolverConfig& c) { pr.solve(c); },
+  };
+  const auto push = [&](const SolverConfig& c) {
+    PushConfig pc;
+    pc.alpha = c.alpha;
+    pc.teleport = c.teleport;
+    push_solve(m, pc);
+  };
+
+  const f64 nan = std::numeric_limits<f64>::quiet_NaN();
+  const std::vector<std::vector<f64>> bad_vectors = {
+      {nan, 1.0, 1.0},   // not finite
+      {-0.5, 1.0, 0.5},  // negative
+      {0.0, 0.0, 0.0},   // zero mass
+      {1.0},             // wrong size
+  };
+  for (const f64 alpha : {1.0, nan}) {
+    SolverConfig cfg;
+    cfg.alpha = alpha;
+    for (const auto& solve : solvers) EXPECT_THROW(solve(cfg), Error);
+    EXPECT_THROW(push(cfg), Error);
+  }
+  for (const auto& bad : bad_vectors) {
+    SolverConfig teleport;
+    teleport.teleport = bad;
+    SolverConfig initial;
+    initial.initial = bad;
+    for (const auto& solve : solvers) {
+      EXPECT_THROW(solve(teleport), Error);
+      EXPECT_THROW(solve(initial), Error);
+    }
+    EXPECT_THROW(push(teleport), Error);
+  }
+  // The same configs with a valid vector pass every entry.
+  SolverConfig good;
+  good.teleport = std::vector<f64>{1.0, 2.0, 1.0};
+  good.initial = std::vector<f64>{0.2, 0.3, 0.5};
+  for (const auto& solve : solvers) EXPECT_NO_THROW(solve(good));
+  EXPECT_NO_THROW(push(good));
 }
 
 // Property: power and Jacobi agree on *any* self-loop-augmented random

@@ -1,6 +1,6 @@
-// Tests for warm-started solves (PageRankConfig::initial /
-// SolverConfig::initial): the fixed point is unchanged; iteration
-// counts drop when restarting near the solution.
+// Tests for warm-started solves (SolverConfig::initial): the fixed
+// point is unchanged; iteration counts drop when restarting near the
+// solution.
 #include <gtest/gtest.h>
 
 #include "graph/builder.hpp"
@@ -13,8 +13,8 @@
 namespace srsr::rank {
 namespace {
 
-PageRankConfig pr_tight() {
-  PageRankConfig cfg;
+SolverConfig pr_tight() {
+  SolverConfig cfg;
   cfg.convergence.tolerance = 1e-11;
   cfg.convergence.max_iterations = 5000;
   return cfg;
@@ -24,7 +24,7 @@ TEST(WarmStart, SameFixedPointAsColdStart) {
   Pcg32 rng(91);
   const auto g = graph::erdos_renyi(100, 0.05, rng);
   const auto cold = pagerank(g, pr_tight());
-  PageRankConfig warm_cfg = pr_tight();
+  SolverConfig warm_cfg = pr_tight();
   // Start from a wildly non-uniform (but valid) vector.
   std::vector<f64> init(g.num_nodes(), 0.0);
   init[0] = 1.0;
@@ -38,7 +38,7 @@ TEST(WarmStart, RestartingAtSolutionConvergesImmediately) {
   Pcg32 rng(92);
   const auto g = graph::erdos_renyi(100, 0.05, rng);
   const auto cold = pagerank(g, pr_tight());
-  PageRankConfig warm_cfg = pr_tight();
+  SolverConfig warm_cfg = pr_tight();
   warm_cfg.initial = cold.scores;
   const auto warm = pagerank(g, warm_cfg);
   EXPECT_TRUE(warm.converged);
@@ -53,7 +53,7 @@ TEST(WarmStart, FewerIterationsAfterSmallEdit) {
   const auto base = pagerank(g, pr_tight());
   const auto edited = graph::with_edges(g, {{1, 0}, {2, 0}, {3, 0}});
   const auto cold = pagerank(edited, pr_tight());
-  PageRankConfig warm_cfg = pr_tight();
+  SolverConfig warm_cfg = pr_tight();
   warm_cfg.initial = base.scores;
   const auto warm = pagerank(edited, warm_cfg);
   EXPECT_TRUE(warm.converged);
@@ -64,7 +64,7 @@ TEST(WarmStart, FewerIterationsAfterSmallEdit) {
 
 TEST(WarmStart, UnnormalizedInitialIsNormalized) {
   const auto g = graph::cycle(5);
-  PageRankConfig a = pr_tight(), b = pr_tight();
+  SolverConfig a = pr_tight(), b = pr_tight();
   a.initial = std::vector<f64>{1, 1, 1, 1, 1};
   b.initial = std::vector<f64>{10, 10, 10, 10, 10};
   const auto ra = pagerank(g, a);
@@ -74,7 +74,7 @@ TEST(WarmStart, UnnormalizedInitialIsNormalized) {
 
 TEST(WarmStart, RejectsInvalidInitialVectors) {
   const auto g = graph::cycle(3);
-  PageRankConfig cfg;
+  SolverConfig cfg;
   cfg.initial = std::vector<f64>{1.0, 1.0};  // wrong size
   EXPECT_THROW(pagerank(g, cfg), Error);
   cfg.initial = std::vector<f64>{0.0, 0.0, 0.0};  // no mass

@@ -238,7 +238,7 @@ int cmd_rank(const Args& args) {
   rank::RankResult result;
   std::vector<std::string> names;
   if (algo == "pagerank") {
-    rank::PageRankConfig cfg;
+    rank::SolverConfig cfg;
     cfg.alpha = alpha;
     if (tracing) cfg.convergence.trace = &trace;
     obs::StageTimer solve_stage("cli.solve", &report);
