@@ -7,8 +7,9 @@
 //   1. build the model once (graph + source map + config);
 //   2. publish a baseline snapshot into a SnapshotStore and point a
 //      QueryEngine at it;
-//   3. hand the store to a RecomputePipeline, which re-solves in the
-//      background whenever spam labels (or raw kappa vectors) arrive;
+//   3. hand the store to a RecomputePipeline, which keeps the model's
+//      push state and, whenever spam labels (or raw kappa vectors)
+//      arrive, pushes the throttle change through it in the background;
 //   4. keep querying while recomputes are in flight — readers are
 //      never blocked, and a failed update can never unpublish the
 //      snapshot they are on.
@@ -68,7 +69,7 @@ int main() {
   const serve::SnapshotPtr live = engine.snapshot();
   std::cout << "recompute published epoch " << live->meta().epoch << " ("
             << live->meta().kappa_policy << ", "
-            << live->meta().iterations << " iterations, "
+            << live->meta().iterations << " pushes, "
             << (live->meta().warm_started ? "warm" : "cold") << ")\n\n";
 
   // Who moved? The compare() view diffs the live snapshot against the

@@ -17,8 +17,8 @@ scripts/check.sh
 
 stage "serve end-to-end smoke (srsr_cli serve)"
 # A scripted query session against a fresh crawl: the service must come
-# up, answer a top-k query, publish a recompute mid-session, and shut
-# down cleanly. check.sh built build/ above.
+# up, answer a top-k query, publish a recompute mid-session, report its
+# push footprint in stats, and shut down cleanly. check.sh built build/ above.
 SERVE_DIR=$(mktemp -d)
 trap 'rm -rf "$SERVE_DIR"' EXIT
 ./build/tools/srsr_cli generate --out "$SERVE_DIR" --sources 200 --spam 10 --seed 11
@@ -31,6 +31,11 @@ echo "$SERVE_OUT" | grep -qE "^5 " \
   || { echo "ci: serve top 5 missing rank-5 line" >&2; exit 1; }
 echo "$SERVE_OUT" | grep -qE "published epoch 2 \([0-9]+ iterations, converged" \
   || { echo "ci: serve recompute did not publish" >&2; exit 1; }
+# The static pipeline publishes through the same push state as the
+# dynamic one. Which path the recompute took is not pinned: at 200
+# sources its seed mass can exceed the full-solve threshold.
+echo "$SERVE_OUT" | grep -qE "last_path (delta|full|fallback), last_pushes [1-9][0-9]*," \
+  || { echo "ci: serve stats missing the recompute's push footprint" >&2; exit 1; }
 echo "$SERVE_OUT" | grep -q "^bye$" \
   || { echo "ci: serve did not shut down cleanly" >&2; exit 1; }
 

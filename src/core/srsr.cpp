@@ -69,15 +69,12 @@ rank::ThrottledView SpamResilientSourceRank::throttled_view(
 }
 
 rank::RankResult SpamResilientSourceRank::solve(
-    const rank::ThrottledView& op,
-    std::span<const f64> warm_start) const {
+    const rank::ThrottledView& op) const {
   obs::Span span("core.solve");
   obs::StageTimer stage("core.solve");
   rank::SolverConfig sc;
   sc.alpha = config_.alpha;
   sc.convergence = config_.convergence;
-  if (!warm_start.empty())
-    sc.initial.emplace(warm_start.begin(), warm_start.end());
   return config_.solver == SolverKind::kPower ? rank::power_solve(op, sc)
                                               : rank::jacobi_solve(op, sc);
 }
@@ -91,18 +88,6 @@ rank::RankResult SpamResilientSourceRank::rank(
              " entries for ", num_sources(), " sources");
   validate_kappa(kappa, "SpamResilientSourceRank::rank: kappa");
   return solve(throttled_view(kappa));
-}
-
-rank::RankResult SpamResilientSourceRank::rank(
-    std::span<const f64> kappa, std::span<const f64> warm_start) const {
-  SRSR_CHECK(kappa.size() == num_sources(),
-             "SpamResilientSourceRank::rank: kappa has ", kappa.size(),
-             " entries for ", num_sources(), " sources");
-  SRSR_CHECK(warm_start.size() == num_sources(),
-             "SpamResilientSourceRank::rank: warm start has ",
-             warm_start.size(), " entries for ", num_sources(), " sources");
-  validate_kappa(kappa, "SpamResilientSourceRank::rank: kappa");
-  return solve(throttled_view(kappa), warm_start);
 }
 
 rank::RankResult SpamResilientSourceRank::rank_baseline() const {

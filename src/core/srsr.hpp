@@ -73,6 +73,10 @@ class SpamResilientSourceRank {
     return base_transpose_;
   }
 
+  /// The kappa-independent row sums of base_matrix() every throttle
+  /// plan is built from.
+  const ThrottleRowStats& row_stats() const { return row_stats_; }
+
   /// The influence-throttled matrix T'' for a given kappa, materialized
   /// (diagnostics/tests; rank() never calls this).
   rank::StochasticMatrix throttled_matrix(std::span<const f64> kappa) const;
@@ -85,14 +89,6 @@ class SpamResilientSourceRank {
 
   /// Ranks sources under the given throttling vector.
   rank::RankResult rank(std::span<const f64> kappa) const;
-
-  /// Warm-started variant: starts the iteration from `warm_start`
-  /// (normalized before use, typically the previous solve's sigma).
-  /// The fixed point is unchanged; iteration counts drop sharply when
-  /// the policy moved only a little — the serve layer's recompute path
-  /// and the warm-start ablation ride this.
-  rank::RankResult rank(std::span<const f64> kappa,
-                        std::span<const f64> warm_start) const;
 
   /// Baseline SourceRank: no throttling information (kappa = 0).
   rank::RankResult rank_baseline() const;
@@ -111,8 +107,7 @@ class SpamResilientSourceRank {
       const SpamProximityConfig& proximity_config = {}) const;
 
  private:
-  rank::RankResult solve(const rank::ThrottledView& op,
-                         std::span<const f64> warm_start = {}) const;
+  rank::RankResult solve(const rank::ThrottledView& op) const;
   SrsrConfig config_;
   SourceGraph source_graph_;
   rank::StochasticMatrix base_matrix_;

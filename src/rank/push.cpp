@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "rank/solvers.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -34,6 +35,7 @@ PushResult push_continue(const PushConfig& config, std::vector<f64> p,
                          std::vector<f64> r, const RowAffinePlan& plan,
                          const RowAccessor& row_of,
                          std::vector<f64>* residual_out) {
+  obs::Span span("rank.push.solve");
   SRSR_CHECK(std::isfinite(config.alpha) && config.alpha >= 0.0 &&
                  config.alpha < 1.0,
              "push: alpha = ", config.alpha, ", must be in [0, 1)");

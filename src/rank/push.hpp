@@ -104,6 +104,8 @@ using RowAccessor = std::function<OperatorRow(NodeId)>;
 /// non-null the final residual vector is moved into it so the state can
 /// be carried into the next batch (pair with config.normalize = false —
 /// see the PushConfig field comment).
+/// Traced as span rank.push.solve, the solvers' rank.<name>.solve
+/// convention.
 PushResult push_continue(const PushConfig& config, std::vector<f64> estimate,
                          std::vector<f64> residual, const RowAffinePlan& plan,
                          const RowAccessor& row_of,

@@ -4,7 +4,6 @@
 #include <iterator>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <utility>
 
 #include "core/kappa.hpp"
@@ -16,36 +15,18 @@
 
 namespace srsr::serve {
 
-namespace {
-
-/// Validates before the worker thread exists — a throw from the
-/// constructor body after std::thread started would std::terminate.
-std::vector<std::string> validated_hosts(std::vector<std::string> hosts,
-                                         NodeId num_sources) {
-  SRSR_CHECK(hosts.empty() || hosts.size() == num_sources,
-             "RecomputePipeline: ", hosts.size(), " hosts for ",
-             num_sources, " sources");
-  return hosts;
-}
-
-/// The paper's Sec. 6.2 policy: spam-proximity walk from the labelled
-/// seeds over `topology`, the top_k most proximate sources fully
-/// throttled.
-std::vector<f64> label_kappa(const graph::Graph& topology,
-                             const std::vector<NodeId>& seeds, u32 top_k) {
-  return core::kappa_top_k(core::spam_proximity(topology, seeds).scores,
-                           top_k);
-}
-
-}  // namespace
-
 RecomputePipeline::RecomputePipeline(
     const core::SpamResilientSourceRank& model,
     std::vector<std::string> hosts, SnapshotStore& store,
     RecomputeConfig config)
-    : model_(&model),
-      hosts_(validated_hosts(std::move(hosts), model.num_sources())),
-      store_(&store), config_(config) {
+    : hosts_(std::move(hosts)), topology_(&model.source_graph().topology()),
+      owned_(std::in_place, model), ranker_(&*owned_),
+      span_name_("serve.recompute"), store_(&store), config_(config) {
+  // Validated before the worker exists: a throw from the constructor
+  // body after std::thread started would std::terminate.
+  SRSR_CHECK(hosts_.empty() || hosts_.size() == model.num_sources(),
+             "RecomputePipeline: ", hosts_.size(), " hosts for ",
+             model.num_sources(), " sources");
   // Started last, once every member the loop reads is in place.
   worker_ = std::thread([this] { worker_loop(); });
 }
@@ -53,7 +34,8 @@ RecomputePipeline::RecomputePipeline(
 RecomputePipeline::RecomputePipeline(stream::IncrementalRanker& ranker,
                                      SnapshotStore& store,
                                      RecomputeConfig config)
-    : model_(nullptr), ranker_(&ranker), store_(&store), config_(config) {
+    : ranker_(&ranker), span_name_("serve.update"), store_(&store),
+      config_(config) {
   SRSR_CHECK(ranker.num_sources() > 0,
              "RecomputePipeline: dynamic ranker has no sources");
   worker_ = std::thread([this] { worker_loop(); });
@@ -89,7 +71,7 @@ void RecomputePipeline::enqueue(Change change, std::string policy) {
     ++stats_.submitted;
     depth = queue_.size();
   }
-  if (ranker_ && obs::metrics_enabled())
+  if (obs::metrics_enabled())
     obs::MetricsRegistry::instance()
         .gauge("srsr.serve.update.queue_depth")
         .set(static_cast<f64>(depth));
@@ -132,20 +114,17 @@ void RecomputePipeline::report_into(obs::RunReport& report) const {
   report.set_meta("serve.coalesced", s.coalesced);
   report.set_meta("serve.last_epoch", s.last_epoch);
   if (!s.last_error.empty()) report.set_meta("serve.last_error", s.last_error);
-  if (dynamic()) {
-    report.set_meta("serve.update.coalesced_batches", s.coalesced_batches);
-    report.set_meta("serve.update.mutations", s.mutations_applied);
-    report.set_meta("serve.update.last_pushes", s.last_pushes);
-    report.set_meta("serve.update.last_dirty_rows", s.last_dirty_rows);
-    if (!s.last_path.empty())
-      report.set_meta("serve.update.last_path", s.last_path);
-  }
+  report.set_meta("serve.update.coalesced_batches", s.coalesced_batches);
+  report.set_meta("serve.update.mutations", s.mutations_applied);
+  report.set_meta("serve.update.last_pushes", s.last_pushes);
+  report.set_meta("serve.update.last_dirty_rows", s.last_dirty_rows);
+  if (!s.last_path.empty())
+    report.set_meta("serve.update.last_path", s.last_path);
 }
 
 void RecomputePipeline::worker_loop() {
   for (;;) {
     std::vector<Update> run;
-    u64 skipped = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       wake_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -154,37 +133,21 @@ void RecomputePipeline::worker_loop() {
                  std::make_move_iterator(queue_.end()));
       queue_.clear();
       busy_ = true;
-      if (!ranker_) {
-        // Static model: only the newest update matters — a recompute
-        // is a full idempotent re-solve, not an incremental delta.
-        skipped = run.size() - 1;
-        run.erase(run.begin(), run.end() - 1);
-        stats_.coalesced += skipped;
-      }
     }
-    if (skipped > 0 && obs::metrics_enabled())
-      obs::MetricsRegistry::instance()
-          .counter("srsr.serve.recompute.coalesced")
-          .add(skipped);
     {
       // Cross-thread hand-off: this span runs on the worker but
       // descends from the request of the run's first update (or roots a
       // fresh trace when it came from untraced code). Solve-stage spans
       // opened further down nest under it through the thread cursor.
-      const char* const name = ranker_ ? "serve.update" : "serve.recompute";
-      obs::Span span(name, run.front().ctx);
-      obs::StageTimer stage(name);
-      std::optional<RankSnapshot> solved;  // static model
+      obs::Span span(span_name_, run.front().ctx);
+      obs::StageTimer stage(span_name_);
       RunTotals totals;
       // Strictly in submit order: a kappa vector submitted before a
       // growth batch is sized for the pre-growth id space, and label
       // updates walk the topology as of their position in the stream.
       for (const Update& update : run) {
         try {
-          if (ranker_)
-            apply(update, totals);
-          else
-            solved.emplace(solve(update));
+          apply(update, totals);
           ++totals.applied;
         } catch (const std::exception& e) {
           // Bad kappa vectors, malformed batches and contract
@@ -208,8 +171,7 @@ void RecomputePipeline::worker_loop() {
       }
       if (totals.applied > 0) {
         try {
-          publish(solved ? std::move(*solved) : ranker_snapshot(totals),
-                  totals);
+          publish(ranker_snapshot(totals), totals);
         } catch (const std::exception& e) {
           fail(e.what());
         }
@@ -223,23 +185,6 @@ void RecomputePipeline::worker_loop() {
   }
 }
 
-RankSnapshot RecomputePipeline::solve(const Update& update) const {
-  const auto* labels = std::get_if<Labels>(&update.change);
-  const std::vector<f64> kappa =
-      labels ? label_kappa(model_->source_graph().topology(), labels->seeds,
-                           labels->top_k)
-             : std::get<std::vector<f64>>(update.change);
-  SnapshotBuild build;
-  build.policy = update.policy;
-  // Warm start from the live sigma: the next fixed point is close when
-  // the policy moved a little, so iterations drop sharply (the
-  // ablation_warmstart bench quantifies it). The handle also keeps the
-  // old epoch alive until the solve is done.
-  const SnapshotPtr live = store_->current();
-  if (live) build.warm_start = live->scores();
-  return make_snapshot(*model_, kappa, hosts_, build);
-}
-
 void RecomputePipeline::apply(const Update& update, RunTotals& totals) {
   stream::UpdateOutcome outcome;
   if (const auto* batch = std::get_if<stream::UpdateBatch>(&update.change)) {
@@ -248,8 +193,7 @@ void RecomputePipeline::apply(const Update& update, RunTotals& totals) {
   } else {
     const auto* labels = std::get_if<Labels>(&update.change);
     outcome = ranker_->set_kappa(
-        labels ? label_kappa(ranker_->graph().topology(), labels->seeds,
-                             labels->top_k)
+        labels ? label_kappa(*labels)
                : std::get<std::vector<f64>>(update.change));
     applied_policy_ = update.policy;
   }
@@ -260,8 +204,21 @@ void RecomputePipeline::apply(const Update& update, RunTotals& totals) {
   totals.converged = totals.converged && outcome.converged;
 }
 
+std::vector<f64> RecomputePipeline::label_kappa(const Labels& labels) const {
+  const auto walk = [&](const graph::Graph& topology) {
+    return core::kappa_top_k(
+        core::spam_proximity(topology, labels.seeds).scores, labels.top_k);
+  };
+  // The model's topology is borrowed. The dynamic graph's is built by
+  // value and lives only for the walk: a reference kept past this full
+  // expression would dangle.
+  return topology_ ? walk(*topology_) : walk(ranker_->graph().topology());
+}
+
 RankSnapshot RecomputePipeline::ranker_snapshot(
     const RunTotals& totals) const {
+  obs::Span span("serve.snapshot_build");
+  obs::StageTimer stage("serve.snapshot_build");
   const stream::UpdateOutcome& last = ranker_->last_outcome();
   const std::vector<f64>& kappa = ranker_->kappa();
   SnapshotMeta meta;
@@ -275,7 +232,8 @@ RankSnapshot RecomputePipeline::ranker_snapshot(
   meta.kappa_mass = std::accumulate(kappa.begin(), kappa.end(), 0.0);
   // Warm = the push state survived the whole run (no cold re-seed).
   meta.warm_started = last.path == stream::UpdatePath::kDelta;
-  return RankSnapshot(ranker_->sigma(), ranker_->graph().hosts(),
+  return RankSnapshot(ranker_->sigma(),
+                      dynamic() ? ranker_->graph().hosts() : hosts_,
                       std::move(meta));
 }
 
@@ -284,14 +242,11 @@ void RecomputePipeline::publish(RankSnapshot snapshot,
   const SnapshotMeta& meta = snapshot.meta();
   if (!meta.converged) {
     fail(meta.solver + " solve did not converge after " +
-         std::to_string(meta.iterations) +
-         (ranker_ ? " pushes" : " iterations"));
+         std::to_string(meta.iterations) + " pushes");
     return;
   }
   const u64 epoch = store_->publish(std::move(snapshot));
   {
-    // A static run's totals are all zero and its path empty, so the
-    // dynamic fields keep their defaults.
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.published;
     stats_.last_epoch = epoch;
@@ -299,8 +254,7 @@ void RecomputePipeline::publish(RankSnapshot snapshot,
     stats_.mutations_applied += totals.mutations;
     stats_.last_pushes = totals.pushes;
     stats_.last_dirty_rows = totals.dirty_rows;
-    stats_.last_path =
-        ranker_ ? stream::to_string(ranker_->last_outcome().path) : "";
+    stats_.last_path = stream::to_string(ranker_->last_outcome().path);
   }
   if (config_.slo) config_.slo->on_publish();
   if (config_.drift) {
@@ -313,13 +267,11 @@ void RecomputePipeline::publish(RankSnapshot snapshot,
     auto& reg = obs::MetricsRegistry::instance();
     reg.counter("srsr.serve.recompute.published").add();
     reg.gauge("srsr.serve.snapshot.epoch").set(static_cast<f64>(epoch));
-    if (ranker_) {
-      reg.counter("srsr.serve.update.batches").add(totals.batches);
-      reg.counter("srsr.serve.update.mutations").add(totals.mutations);
-      reg.gauge("srsr.serve.update.last_pushes")
-          .set(static_cast<f64>(totals.pushes));
-      reg.gauge("srsr.serve.update.queue_depth").set(0.0);
-    }
+    reg.counter("srsr.serve.update.batches").add(totals.batches);
+    reg.counter("srsr.serve.update.mutations").add(totals.mutations);
+    reg.gauge("srsr.serve.update.last_pushes")
+        .set(static_cast<f64>(totals.pushes));
+    reg.gauge("srsr.serve.update.queue_depth").set(0.0);
   }
 }
 

@@ -6,21 +6,18 @@
 // the result atomically through the SnapshotStore. The query path never
 // blocks: readers keep serving the previous epoch for the whole solve.
 //
-// The worker always takes the WHOLE queue as one run, then:
-//
-//   - over a static model (first constructor): solves only the run's
-//     NEWEST update, warm-started from the live snapshot's sigma
-//     through the model's lazy ThrottledView; the older ones are
-//     counted as coalesced — a kappa/label update is an idempotent full
-//     recompute, so intermediate states carry no information;
-//   - over a stream::IncrementalRanker (second constructor, DYNAMIC
-//     mode): applies EVERY update in submit order — topology batches
-//     are not last-wins coalescible (each moves the graph); kappa
-//     changes route through set_kappa, label updates walk the ranker's
-//     current topology — and folds the run into ONE publish (the fold
-//     is counted in coalesced_batches). Every publish is warm: the
-//     ranker carries its push state across batches, so a single-host
-//     edit republishes after a localized push instead of a full solve.
+// One loop serves both constructors. Every update goes to one
+// stream::IncrementalRanker: over a static model (first constructor)
+// the pipeline owns it, built before the worker starts (one cold push
+// at kappa = 0); over a DynamicSourceGraph (second constructor) the
+// caller does. The worker takes the WHOLE queue as one run, applies
+// EVERY update in submit order — kappa vectors through set_kappa,
+// label updates as kappa derived from the current topology, topology
+// batches through apply — and folds the run into ONE publish of the
+// ranker's sigma (the fold is counted in coalesced_batches). Every
+// publish is warm: the ranker carries its push state across updates, so
+// a kappa swap or a single-host edit republishes after a push sized to
+// the change, with push's n*epsilon/(1-alpha) error bound.
 //
 // Failure is per update: an update that throws (invalid kappa,
 // malformed batch) is counted in `failed` and kept as last_error, and
@@ -30,7 +27,9 @@
 // (graceful degradation). Every submitted update is accounted for
 // exactly once:
 //
-//   published + failed + coalesced + coalesced_batches == submitted.
+//   published + failed + coalesced + coalesced_batches == submitted,
+//
+// where `coalesced` counts the updates stop() dropped from the queue.
 //
 // One worker thread, started in the constructor, joined in stop() /
 // the destructor. This and util/parallel.hpp are the only places in
@@ -41,6 +40,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <variant>
@@ -68,7 +68,8 @@ struct RecomputeConfig {
 class RecomputePipeline {
  public:
   /// `model` and `store` must outlive the pipeline. `hosts` (copied
-  /// into every snapshot) must be empty or one entry per source.
+  /// into every snapshot) must be empty or one entry per source. Runs
+  /// the owned ranker's cold kappa = 0 solve before returning.
   RecomputePipeline(const core::SpamResilientSourceRank& model,
                     std::vector<std::string> hosts, SnapshotStore& store,
                     RecomputeConfig config = {});
@@ -88,7 +89,7 @@ class RecomputePipeline {
   void submit(std::vector<f64> kappa, std::string policy = "custom");
 
   /// Enqueues a label update: the worker runs the spam-proximity walk
-  /// from `source_seeds` over the model's source topology and fully
+  /// from `source_seeds` over the current source topology and fully
   /// throttles the top_k most proximate sources (the paper's Sec. 6.2
   /// policy).
   void submit_spam_labels(std::vector<NodeId> source_seeds, u32 top_k);
@@ -110,6 +111,7 @@ class RecomputePipeline {
     u64 submitted = 0;
     u64 published = 0;
     u64 failed = 0;
+    /// Updates stop() dropped from the queue unapplied.
     u64 coalesced = 0;
     u64 last_epoch = 0;        // 0 = nothing published yet
     /// The newest failure's message; cleared by a publish whose run
@@ -117,25 +119,27 @@ class RecomputePipeline {
     std::string last_error;
     /// Updates waiting in the queue right now (sampled by stats()).
     u64 queue_depth = 0;
-    /// Dynamic mode: updates folded into a shared publish (the drained
-    /// run's applied updates minus the one publish they produced).
+    /// Updates folded into a shared publish (the drained run's applied
+    /// updates minus the one publish they produced).
     u64 coalesced_batches = 0;
     /// Dynamic mode: page mutations that changed graph state, total.
     u64 mutations_applied = 0;
-    /// Dynamic mode: the last publish's solve footprint.
+    /// The last publish's solve footprint.
     u64 last_pushes = 0;
     u64 last_dirty_rows = 0;
-    std::string last_path;  // "delta" | "full" | "fallback"; empty = static
+    /// "delta" | "full" | "fallback"; empty = nothing published yet.
+    std::string last_path;
   };
   Stats stats() const;
 
   /// Writes the pipeline outcome into a run report ("serve.published",
-  /// "serve.failed", "serve.coalesced", "serve.last_epoch", and
-  /// "serve.last_error" when a solve has failed).
+  /// "serve.failed", "serve.coalesced", "serve.last_epoch",
+  /// "serve.last_error" when a solve has failed, and the push
+  /// footprint under "serve.update.*").
   void report_into(obs::RunReport& report) const;
 
   /// True when constructed over an IncrementalRanker.
-  bool dynamic() const { return ranker_ != nullptr; }
+  bool dynamic() const { return !owned_; }
 
  private:
   /// A label update: the worker derives kappa from it.
@@ -167,12 +171,13 @@ class RecomputePipeline {
 
   void enqueue(Change change, std::string policy);
   void worker_loop();
-  /// Static model: solves a kappa or label update into a snapshot.
-  RankSnapshot solve(const Update& update) const;
-  /// Dynamic mode: applies one update to the ranker, in place, and
-  /// adds its outcome to `totals`.
+  /// Applies one update to the ranker, in place, and adds its outcome
+  /// to `totals`.
   void apply(const Update& update, RunTotals& totals);
-  /// Dynamic mode: the ranker's current sigma as a snapshot.
+  /// The Sec. 6.2 kappa: spam-proximity walk from the labels over the
+  /// current source topology, the top_k most proximate fully throttled.
+  std::vector<f64> label_kappa(const Labels& labels) const;
+  /// The ranker's current sigma as a snapshot.
   RankSnapshot ranker_snapshot(const RunTotals& totals) const;
   /// Publishes a run's snapshot, or fails the run when it did not
   /// converge; either way stats, watchdogs and metrics follow.
@@ -180,13 +185,17 @@ class RecomputePipeline {
   /// Counts one failure; the live epoch stays as it is.
   void fail(const std::string& why);
 
-  const core::SpamResilientSourceRank* model_;  // null in dynamic mode
-  stream::IncrementalRanker* ranker_ = nullptr;  // null in static mode
+  /// Static mode: the snapshots' hosts, the model's topology and the
+  /// owned ranker (dynamic mode reads hosts and topology off the graph).
   std::vector<std::string> hosts_;
+  const graph::Graph* topology_ = nullptr;
+  std::optional<stream::IncrementalRanker> owned_;
+  stream::IncrementalRanker* ranker_;  // &*owned_, or the caller's
+  const char* span_name_;  // "serve.recompute" | "serve.update"
   SnapshotStore* store_;
   RecomputeConfig config_;
-  /// Dynamic mode, worker only: policy label of the last kappa-bearing
-  /// update, stamped into every publish's meta.
+  /// Worker only: policy label of the last kappa-bearing update,
+  /// stamped into every publish's meta.
   std::string applied_policy_ = "uniform_zero";
   mutable std::mutex mutex_;
   std::condition_variable wake_;   // worker: queue non-empty or stopping

@@ -87,9 +87,7 @@ RankSnapshot make_snapshot(const core::SpamResilientSourceRank& model,
                            const SnapshotBuild& build) {
   obs::Span span("serve.snapshot_build");
   obs::StageTimer stage("serve.snapshot_build");
-  const bool warm = !build.warm_start.empty();
-  rank::RankResult result =
-      warm ? model.rank(kappa, build.warm_start) : model.rank(kappa);
+  rank::RankResult result = model.rank(kappa);
 
   SnapshotMeta meta;
   meta.kappa_policy = build.policy;
@@ -100,7 +98,6 @@ RankSnapshot make_snapshot(const core::SpamResilientSourceRank& model,
   meta.converged = result.converged;
   meta.solve_seconds = result.seconds;
   meta.kappa_mass = std::accumulate(kappa.begin(), kappa.end(), 0.0);
-  meta.warm_started = warm;
   return RankSnapshot(std::move(result.scores), std::move(hosts),
                       std::move(meta));
 }

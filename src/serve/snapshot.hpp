@@ -41,8 +41,9 @@ struct SnapshotMeta {
   u64 epoch = 0;
   /// Human-readable description of the kappa policy applied.
   std::string kappa_policy;
-  /// "power" | "jacobi" for a static model's solve; "push" for a
-  /// dynamic (IncrementalRanker) publish.
+  /// "push" for every RecomputePipeline publish (IncrementalRanker);
+  /// "power" | "jacobi" for a make_snapshot build, by the model's
+  /// SolverKind.
   std::string solver;
   /// Solver iterations — for "push", the run's push count (clamped to
   /// u32).
@@ -109,15 +110,12 @@ using SnapshotPtr = std::shared_ptr<const RankSnapshot>;
 
 struct SnapshotBuild {
   std::string policy = "custom";
-  /// Warm-start vector (normally the live snapshot's sigma); empty =
-  /// cold start. Cold builds are bitwise-reproducible against a direct
-  /// model.rank() call with the same kappa.
-  std::span<const f64> warm_start = {};
 };
 
-/// Solves sigma for `kappa` and bundles it into an (unpublished)
-/// snapshot. `hosts` is copied into the snapshot; pass {} to synthesize
-/// "s<i>" names.
+/// Solves sigma for `kappa` cold and bundles it into an (unpublished)
+/// snapshot, bitwise-reproducible against a direct model.rank() call
+/// with the same kappa. `hosts` is copied into the snapshot; pass {} to
+/// synthesize "s<i>" names.
 RankSnapshot make_snapshot(const core::SpamResilientSourceRank& model,
                            std::span<const f64> kappa,
                            std::vector<std::string> hosts,

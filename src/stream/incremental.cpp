@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <utility>
 
+#include "core/srsr.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -35,7 +36,30 @@ const char* to_string(UpdatePath path) {
 
 IncrementalRanker::IncrementalRanker(DynamicSourceGraph& graph,
                                      IncrementalConfig config)
-    : graph_(&graph), config_(config) {
+    : IncrementalRanker(
+          &graph,
+          [g = &graph](NodeId u) {
+            return rank::OperatorRow{g->row_cols(u), g->row_weights(u)};
+          },
+          graph.row_stats(), config) {}
+
+IncrementalRanker::IncrementalRanker(
+    const core::SpamResilientSourceRank& model)
+    : IncrementalRanker(
+          nullptr,
+          [m = &model.base_matrix()](NodeId u) {
+            return rank::OperatorRow{m->row_cols(u), m->row_weights(u)};
+          },
+          model.row_stats(),
+          IncrementalConfig{.alpha = model.config().alpha,
+                            .mode = model.config().throttle_mode}) {}
+
+IncrementalRanker::IncrementalRanker(DynamicSourceGraph* graph,
+                                     rank::RowAccessor row_of,
+                                     const core::ThrottleRowStats& row_stats,
+                                     IncrementalConfig config)
+    : graph_(graph), row_of_(std::move(row_of)), row_stats_(row_stats),
+      config_(config) {
   SRSR_CHECK(std::isfinite(config.alpha) && config.alpha >= 0.0 &&
                  config.alpha < 1.0,
              "IncrementalRanker: alpha = ", config.alpha,
@@ -45,11 +69,11 @@ IncrementalRanker::IncrementalRanker(DynamicSourceGraph& graph,
   SRSR_CHECK(std::isfinite(config.full_mass_threshold) &&
                  config.full_mass_threshold > 0.0,
              "IncrementalRanker: full_mass_threshold must be positive");
-  const u32 ns = graph.num_sources();
+  const u32 ns = row_stats.num_rows();
   SRSR_CHECK(ns > 0, "IncrementalRanker: graph has no sources");
   WallTimer timer;
   kappa_.assign(ns, 0.0);
-  plan_ = core::make_throttle_plan(graph.row_stats(), kappa_, config_.mode);
+  plan_ = core::make_throttle_plan(row_stats_, kappa_, config_.mode);
   seed_cold();
   // Initial seed mass is ||c||_1 = 1 > any sane threshold: the decision
   // rule itself routes the constructor through the cold full path.
@@ -59,7 +83,7 @@ IncrementalRanker::IncrementalRanker(DynamicSourceGraph& graph,
 }
 
 void IncrementalRanker::seed_cold() {
-  const u32 ns = graph_->num_sources();
+  const u32 ns = row_stats_.num_rows();
   p_.assign(ns, 0.0);
   r_.assign(ns, 1.0 / static_cast<f64>(ns));
 }
@@ -82,12 +106,13 @@ void IncrementalRanker::grow_state(u32 old_sources) {
   r_.resize(ns, c_new);
 }
 
-void IncrementalRanker::inject_row(NodeId row, std::span<const NodeId> cols,
-                                   std::span<const f64> weights,
+void IncrementalRanker::inject_row(NodeId row, const rank::OperatorRow& entries,
                                    const rank::RowAffinePlan& plan, f64 sign) {
   const f64 pu = p_[row];
   if (pu == 0.0) return;
   const f64 scale = sign * config_.alpha / (1.0 - config_.alpha) * pu;
+  const auto cols = entries.cols;
+  const auto weights = entries.weights;
   for (std::size_t i = 0; i < cols.size(); ++i)
     r_[cols[i]] += scale * throttled_weight(plan, row, cols[i], weights[i]);
 }
@@ -97,11 +122,8 @@ UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
   for (const f64 v : r_) seed_mass += std::abs(v);
   outcome.seed_mass = seed_mass;
 
-  // Push reads T' rows straight from the row store and applies the
-  // current plan itself: nothing materialized, nothing copied.
-  const rank::RowAccessor row_of = [&](NodeId u) {
-    return rank::OperatorRow{graph_->row_cols(u), graph_->row_weights(u)};
-  };
+  // Push reads T' rows straight from row_of_ and applies the current
+  // plan itself: nothing materialized, nothing copied.
   rank::PushConfig push;
   push.alpha = config_.alpha;
   push.epsilon = config_.epsilon;
@@ -112,14 +134,14 @@ UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
   rank::PushResult result;
   std::vector<f64> residual;
   if (!need_cold) {
-    const u64 n = graph_->num_sources();
+    const u64 n = num_sources();
     // The cap is a stall safeguard, not a budget: signed push contracts
     // ||r||_1 by at least (1-alpha)*epsilon per push, so a healthy
     // delta never gets near it.
     push.max_pushes = config_.max_delta_pushes != 0 ? config_.max_delta_pushes
                                                     : 512 * n + 4096;
     result = rank::push_continue(push, std::move(p_), std::move(r_), plan_,
-                                 row_of, &residual);
+                                 row_of_, &residual);
     if (result.converged) {
       p_ = std::move(result.scores);
       r_ = std::move(residual);
@@ -135,7 +157,7 @@ UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
     seed_cold();
     push.max_pushes = 0;
     result = rank::push_continue(push, std::move(p_), std::move(r_), plan_,
-                                 row_of, &residual);
+                                 row_of_, &residual);
     p_ = std::move(result.scores);
     r_ = std::move(residual);
   }
@@ -147,6 +169,9 @@ UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
 }
 
 UpdateOutcome IncrementalRanker::apply(const UpdateBatch& batch) {
+  SRSR_CHECK(graph_ != nullptr,
+             "IncrementalRanker::apply: ranker is bound to a static model "
+             "— topology updates need a DynamicSourceGraph");
   WallTimer timer;
   if (batch.sequence != 0) {
     SRSR_CHECK(batch.sequence > last_sequence_,
@@ -163,8 +188,7 @@ UpdateOutcome IncrementalRanker::apply(const UpdateBatch& batch) {
     // whatever it now holds so (graph, sigma) stay consistent, then
     // let the caller see the failure.
     grow_state(old_sources);
-    plan_ =
-        core::make_throttle_plan(graph_->row_stats(), kappa_, config_.mode);
+    plan_ = core::make_throttle_plan(row_stats_, kappa_, config_.mode);
     seed_cold();
     UpdateOutcome outcome = solve(UpdateOutcome{});
     outcome.seconds = timer.seconds();
@@ -185,16 +209,17 @@ UpdateOutcome IncrementalRanker::apply(const UpdateBatch& batch) {
   // 2. Subtract each dirty row's OLD contribution under the OLD plan
   //    (rows born this batch have p = 0 and contribute nothing).
   for (std::size_t i = 0; i < applied.dirty.size(); ++i)
-    inject_row(applied.dirty[i], applied.old_row_cols(i),
-               applied.old_row_weights(i), plan_, -1.0);
+    inject_row(applied.dirty[i],
+               rank::OperatorRow{applied.old_row_cols(i),
+                                 applied.old_row_weights(i)},
+               plan_, -1.0);
   // 3. Recompute the throttle plan against the repaired row stats.
   //    Unchanged rows' plan entries are bitwise identical (the plan is
   //    a deterministic per-row function of stats + kappa), so only the
   //    dirty rows' contributions actually moved.
-  plan_ = core::make_throttle_plan(graph_->row_stats(), kappa_, config_.mode);
+  plan_ = core::make_throttle_plan(row_stats_, kappa_, config_.mode);
   // 4. Add each dirty row's NEW contribution under the NEW plan.
-  for (const NodeId s : applied.dirty)
-    inject_row(s, graph_->row_cols(s), graph_->row_weights(s), plan_, 1.0);
+  for (const NodeId s : applied.dirty) inject_row(s, row_of_(s), plan_, 1.0);
 
   outcome = solve(std::move(outcome));
   outcome.seconds = timer.seconds();
@@ -208,7 +233,7 @@ UpdateOutcome IncrementalRanker::set_kappa(std::span<const f64> kappa) {
              kappa.size(), " entries for ", num_sources(), " sources");
   validate_kappa(kappa);
   rank::RowAffinePlan next =
-      core::make_throttle_plan(graph_->row_stats(), kappa, config_.mode);
+      core::make_throttle_plan(row_stats_, kappa, config_.mode);
 
   UpdateOutcome outcome;
   // A plan change is a row delta with an unchanged sparsity pattern:
@@ -219,8 +244,9 @@ UpdateOutcome IncrementalRanker::set_kappa(std::span<const f64> kappa) {
     const bool same = next.off_scale[s] == plan_.off_scale[s] &&
                       next.diagonal[s] == plan_.diagonal[s];
     if (same) continue;
-    inject_row(s, graph_->row_cols(s), graph_->row_weights(s), plan_, -1.0);
-    inject_row(s, graph_->row_cols(s), graph_->row_weights(s), next, 1.0);
+    const rank::OperatorRow row = row_of_(s);
+    inject_row(s, row, plan_, -1.0);
+    inject_row(s, row, next, 1.0);
     ++outcome.dirty_rows;
   }
   kappa_.assign(kappa.begin(), kappa.end());

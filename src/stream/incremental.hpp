@@ -37,6 +37,10 @@
 // carry deficits, and the L1-normalized vector does not satisfy the
 // linear system — normalization happens only in sigma(), on a copy.
 //
+// The ranker binds to a DynamicSourceGraph or to a static model, and
+// reads rows and row stats through members fixed at construction: no
+// code path past the constructors branches on the binding but apply().
+//
 // Threading contract: single writer (apply / set_kappa mutate state);
 // sigma() copies under the same writer thread. The serve layer
 // serializes through its recompute queue and publishes immutable
@@ -51,6 +55,10 @@
 #include "stream/dynamic_graph.hpp"
 #include "stream/edge_stream.hpp"
 #include "util/common.hpp"
+
+namespace srsr::core {
+class SpamResilientSourceRank;
+}  // namespace srsr::core
 
 namespace srsr::stream {
 
@@ -98,8 +106,17 @@ class IncrementalRanker {
   /// the initial cold solve with kappa = 0.
   IncrementalRanker(DynamicSourceGraph& graph, IncrementalConfig config);
 
+  /// Binds to a static model (non-owning — it must outlive the ranker):
+  /// T' rows from model.base_matrix(), row stats from model.row_stats(),
+  /// alpha and the throttle mode from model.config(); epsilon and the
+  /// full-solve threshold keep IncrementalConfig's defaults. Runs the
+  /// initial cold solve with kappa = 0. apply() is rejected: the
+  /// model's topology is frozen.
+  explicit IncrementalRanker(const core::SpamResilientSourceRank& model);
+
   u32 num_sources() const { return static_cast<u32>(p_.size()); }
   const std::vector<f64>& kappa() const { return kappa_; }
+  /// The bound dynamic graph; only valid when constructed over one.
   const DynamicSourceGraph& graph() const { return *graph_; }
   const IncrementalConfig& config() const { return config_; }
 
@@ -127,19 +144,24 @@ class IncrementalRanker {
   const UpdateOutcome& last_outcome() const { return last_outcome_; }
 
  private:
+  /// Both public constructors delegate here.
+  IncrementalRanker(DynamicSourceGraph* graph, rank::RowAccessor row_of,
+                    const core::ThrottleRowStats& row_stats,
+                    IncrementalConfig config);
   /// Re-seeds (p, r) cold: p = 0, r = uniform teleport.
   void seed_cold();
   /// Grows kappa/p and teleport-shifts r after the id space grew.
   void grow_state(u32 old_sources);
   /// r += sign * alpha/(1-alpha) * plan(row)^T p over the given row
   /// entries — one side of a row's residual correction.
-  void inject_row(NodeId row, std::span<const NodeId> cols,
-                  std::span<const f64> weights, const rank::RowAffinePlan& plan,
-                  f64 sign);
+  void inject_row(NodeId row, const rank::OperatorRow& entries,
+                  const rank::RowAffinePlan& plan, f64 sign);
   /// Seed-mass decision + push + fallback; fills and stores the outcome.
   UpdateOutcome solve(UpdateOutcome outcome);
 
-  DynamicSourceGraph* graph_;
+  DynamicSourceGraph* graph_;  // null when bound to a static model
+  const rank::RowAccessor row_of_;  // T' base rows, graph's or model's
+  const core::ThrottleRowStats& row_stats_;
   IncrementalConfig config_;
   std::vector<f64> kappa_;
   rank::RowAffinePlan plan_;

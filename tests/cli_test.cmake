@@ -195,8 +195,9 @@ if(NOT out MATCHES "bye\n$")
   message(FATAL_ERROR "serve did not shut down cleanly:\n${out}")
 endif()
 
-# `tracefile` dumped the session's spans: query roots plus the traced
-# recompute with its solver-stage children, Perfetto-loadable.
+# `tracefile` dumped the session's spans: query roots, the baseline's
+# cold power solve, and the traced recompute with its push and snapshot
+# children, Perfetto-loadable.
 if(NOT EXISTS "${SERVE_TRACE}")
   message(FATAL_ERROR "serve tracefile did not write ${SERVE_TRACE}")
 endif()
@@ -205,7 +206,7 @@ if(NOT serve_spans MATCHES "\"traceEvents\":\\[")
   message(FATAL_ERROR "serve trace is not Perfetto JSON:\n${serve_spans}")
 endif()
 foreach(span serve.query.top_k serve.query.score serve.recompute
-        serve.snapshot_build core.solve rank.power.solve)
+        serve.snapshot_build core.solve rank.power.solve rank.push.solve)
   if(NOT serve_spans MATCHES "\"name\":\"${span}\"")
     message(FATAL_ERROR "serve trace is missing '${span}':\n${serve_spans}")
   endif()

@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/srsr.hpp"
 #include "core/throttle.hpp"
 #include "graph/webgen.hpp"
 #include "rank/push.hpp"
+#include "rank/solvers.hpp"
 #include "stream/dynamic_graph.hpp"
 #include "stream/edge_stream.hpp"
 #include "stream/incremental.hpp"
@@ -311,6 +313,61 @@ TEST(IncrementalRanker, OutcomeAccountingIsCoherent) {
   EXPECT_GT(outcome.touched, 0u);
   EXPECT_LT(outcome.max_residual, kEpsilon);
   EXPECT_GE(outcome.seconds, 0.0);
+}
+
+TEST(IncrementalRanker, StaticModelBindingHoldsThePushBound) {
+  const graph::WebCorpus corpus = small_corpus();
+  const core::SourceMap map(corpus.page_source);
+  for (const auto mode : {core::ThrottleMode::kTeleportDiscard,
+                          core::ThrottleMode::kSelfAbsorb}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    core::SrsrConfig sc;
+    sc.alpha = 0.8;
+    sc.throttle_mode = mode;
+    const core::SpamResilientSourceRank model(corpus.pages, map, sc);
+    IncrementalRanker ranker(model);
+    // alpha and mode follow the model; epsilon keeps its default.
+    EXPECT_EQ(ranker.config().alpha, 0.8);
+    EXPECT_EQ(ranker.config().mode, mode);
+    EXPECT_EQ(ranker.config().epsilon, IncrementalConfig{}.epsilon);
+    EXPECT_EQ(ranker.last_outcome().path, UpdatePath::kFull);
+    const f64 bound = model.num_sources() * ranker.config().epsilon /
+                      (1.0 - ranker.config().alpha);
+
+    std::vector<f64> kappa(model.num_sources(), 0.0);
+    for (const NodeId s : corpus.spam_sources()) kappa[s] = 1.0;
+    for (u32 step = 0; step < 3; ++step) {
+      const UpdateOutcome outcome = ranker.set_kappa(kappa);
+      EXPECT_TRUE(outcome.converged);
+      EXPECT_GT(outcome.dirty_rows, 0u);
+      rank::SolverConfig ref_cfg;
+      ref_cfg.alpha = sc.alpha;
+      ref_cfg.convergence.norm = rank::Norm::kL1;
+      ref_cfg.convergence.tolerance = 1e-14;
+      ref_cfg.convergence.max_iterations = 100000;
+      const rank::RankResult ref =
+          rank::jacobi_solve(model.throttled_view(kappa), ref_cfg);
+      ASSERT_TRUE(ref.converged);
+      const std::vector<f64> sigma = ranker.sigma();
+      f64 l1 = 0.0;
+      for (std::size_t i = 0; i < sigma.size(); ++i)
+        l1 += std::abs(sigma[i] - ref.scores[i]);
+      EXPECT_LE(l1, bound) << "step " << step;
+      for (f64& k : kappa) k *= 0.5;
+    }
+  }
+}
+
+TEST(IncrementalRanker, StaticModelBindingRejectsTopologyBatches) {
+  const graph::WebCorpus corpus = small_corpus();
+  const core::SourceMap map(corpus.page_source);
+  const core::SpamResilientSourceRank model(corpus.pages, map);
+  IncrementalRanker ranker(model);
+  const std::vector<f64> before = ranker.sigma();
+  EXPECT_THROW(ranker.apply(UpdateBatch{}), Error);
+  // The rejected batch touched nothing.
+  EXPECT_EQ(ranker.sigma(), before);
+  EXPECT_EQ(ranker.last_outcome().path, UpdatePath::kFull);
 }
 
 }  // namespace

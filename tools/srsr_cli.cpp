@@ -688,15 +688,12 @@ int cmd_serve(const Args& args) {
       const auto st = pipeline->stats();
       std::cout << "published " << st.published << ", failed " << st.failed
                 << ", coalesced " << st.coalesced << ", epoch "
-                << st.last_epoch;
-      if (dynamic)
-        std::cout << ", queue_depth " << st.queue_depth
-                  << ", coalesced_batches " << st.coalesced_batches
-                  << ", mutations " << st.mutations_applied << ", last_path "
-                  << (st.last_path.empty() ? "none" : st.last_path)
-                  << ", last_pushes " << st.last_pushes
-                  << ", last_dirty_rows " << st.last_dirty_rows;
-      std::cout << '\n';
+                << st.last_epoch << ", queue_depth " << st.queue_depth
+                << ", coalesced_batches " << st.coalesced_batches
+                << ", mutations " << st.mutations_applied << ", last_path "
+                << (st.last_path.empty() ? "none" : st.last_path)
+                << ", last_pushes " << st.last_pushes << ", last_dirty_rows "
+                << st.last_dirty_rows << '\n';
     } else if (req == "update") {
       if (!dynamic) {
         std::cout << "err update needs --dynamic\n";
