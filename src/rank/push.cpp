@@ -34,7 +34,8 @@ constexpr NodeId kDenseFrontier = 16;
 PushResult push_continue(const PushConfig& config, std::vector<f64> p,
                          std::vector<f64> r, const RowAffinePlan& plan,
                          const RowAccessor& row_of,
-                         std::vector<f64>* residual_out) {
+                         std::vector<f64>* residual_out,
+                         std::vector<NodeId>* pushed_out) {
   obs::Span span("rank.push.solve");
   SRSR_CHECK(std::isfinite(config.alpha) && config.alpha >= 0.0 &&
                  config.alpha < 1.0,
@@ -151,6 +152,11 @@ PushResult push_continue(const PushConfig& config, std::vector<f64> p,
                          result.max_residual, timer.seconds()});
 
   if (residual_out) *residual_out = std::move(r);
+  if (pushed_out) {
+    pushed_out->clear();
+    for (NodeId u = 0; u < n; ++u)
+      if (ever_pushed[u]) pushed_out->push_back(u);
+  }
 
   if (config.normalize) {
     // Tiny negative leftovers can survive signed pushes (bounded by the

@@ -103,13 +103,16 @@ using RowAccessor = std::function<OperatorRow(NodeId)>;
 /// the injected residual mass, not the graph. When `residual_out` is
 /// non-null the final residual vector is moved into it so the state can
 /// be carried into the next batch (pair with config.normalize = false —
-/// see the PushConfig field comment).
+/// see the PushConfig field comment). When `pushed_out` is non-null it
+/// receives every row pushed at least once, ascending: the only rows
+/// whose estimate entry changed.
 /// Traced as span rank.push.solve, the solvers' rank.<name>.solve
 /// convention.
 PushResult push_continue(const PushConfig& config, std::vector<f64> estimate,
                          std::vector<f64> residual, const RowAffinePlan& plan,
                          const RowAccessor& row_of,
-                         std::vector<f64>* residual_out = nullptr);
+                         std::vector<f64>* residual_out = nullptr,
+                         std::vector<NodeId>* pushed_out = nullptr);
 
 /// Full solve from scratch (p = 0, r = c) along direct CSR rows of
 /// `matrix` (no transpose) under identity_plan(matrix).

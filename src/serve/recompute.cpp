@@ -16,17 +16,15 @@
 namespace srsr::serve {
 
 RecomputePipeline::RecomputePipeline(
-    const core::SpamResilientSourceRank& model,
-    std::vector<std::string> hosts, SnapshotStore& store,
-    RecomputeConfig config)
-    : hosts_(std::move(hosts)), topology_(&model.source_graph().topology()),
+    const core::SpamResilientSourceRank& model, graph::Hosts hosts,
+    SnapshotStore& store, RecomputeConfig config)
+    // The hosts resolve first, before the cold solve and the worker: a
+    // throw after std::thread started would std::terminate.
+    : hosts_(std::move(hosts).resolve(model.num_sources(),
+                                      "RecomputePipeline")),
+      topology_(&model.source_graph().topology()),
       owned_(std::in_place, model), ranker_(&*owned_),
       span_name_("serve.recompute"), store_(&store), config_(config) {
-  // Validated before the worker exists: a throw from the constructor
-  // body after std::thread started would std::terminate.
-  SRSR_CHECK(hosts_.empty() || hosts_.size() == model.num_sources(),
-             "RecomputePipeline: ", hosts_.size(), " hosts for ",
-             model.num_sources(), " sources");
   // Started last, once every member the loop reads is in place.
   worker_ = std::thread([this] { worker_loop(); });
 }
@@ -171,7 +169,7 @@ void RecomputePipeline::worker_loop() {
       }
       if (totals.applied > 0) {
         try {
-          publish(ranker_snapshot(totals), totals);
+          publish(totals);
         } catch (const std::exception& e) {
           fail(e.what());
         }
@@ -215,8 +213,7 @@ std::vector<f64> RecomputePipeline::label_kappa(const Labels& labels) const {
   return topology_ ? walk(*topology_) : walk(ranker_->graph().topology());
 }
 
-RankSnapshot RecomputePipeline::ranker_snapshot(
-    const RunTotals& totals) const {
+RankSnapshot RecomputePipeline::ranker_snapshot(const RunTotals& totals) {
   obs::Span span("serve.snapshot_build");
   obs::StageTimer stage("serve.snapshot_build");
   const stream::UpdateOutcome& last = ranker_->last_outcome();
@@ -232,20 +229,26 @@ RankSnapshot RecomputePipeline::ranker_snapshot(
   meta.kappa_mass = std::accumulate(kappa.begin(), kappa.end(), 0.0);
   // Warm = the push state survived the whole run (no cold re-seed).
   meta.warm_started = last.path == stream::UpdatePath::kDelta;
-  return RankSnapshot(ranker_->sigma(),
-                      dynamic() ? ranker_->graph().hosts() : hosts_,
-                      std::move(meta));
+  const graph::HostIndexPtr& hosts =
+      dynamic() ? ranker_->graph().hosts() : hosts_;
+  // The rows the ranker changed since the last publish are the ones
+  // whose place in that epoch's order has to be rebuilt.
+  const std::optional<std::vector<NodeId>> changed =
+      ranker_->take_changed_rows();
+  if (changed && last_published_)
+    return RankSnapshot(ranker_->sigma(), hosts, std::move(meta),
+                        *last_published_, *changed);
+  return RankSnapshot(ranker_->sigma(), hosts, std::move(meta));
 }
 
-void RecomputePipeline::publish(RankSnapshot snapshot,
-                                const RunTotals& totals) {
-  const SnapshotMeta& meta = snapshot.meta();
-  if (!meta.converged) {
-    fail(meta.solver + " solve did not converge after " +
-         std::to_string(meta.iterations) + " pushes");
+void RecomputePipeline::publish(const RunTotals& totals) {
+  if (!totals.converged) {
+    fail("push solve did not converge after " +
+         std::to_string(totals.pushes) + " pushes");
     return;
   }
-  const u64 epoch = store_->publish(std::move(snapshot));
+  const u64 epoch = store_->publish(ranker_snapshot(totals));
+  last_published_ = store_->current();
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.published;
@@ -258,7 +261,7 @@ void RecomputePipeline::publish(RankSnapshot snapshot,
   }
   if (config_.slo) config_.slo->on_publish();
   if (config_.drift) {
-    const DriftReport drift = config_.drift->on_publish(*store_->current());
+    const DriftReport drift = config_.drift->on_publish(*last_published_);
     if (drift.anomalous)
       log_warn("serve: anomalous ranking drift publishing epoch ",
                drift.to_epoch, " (", drift.reason, ")");

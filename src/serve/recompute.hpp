@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "obs/report.hpp"
+#include "graph/host_index.hpp"
 #include "obs/span.hpp"
 #include "serve/monitor.hpp"
 #include "serve/snapshot.hpp"
@@ -67,17 +68,19 @@ struct RecomputeConfig {
 
 class RecomputePipeline {
  public:
-  /// `model` and `store` must outlive the pipeline. `hosts` (copied
-  /// into every snapshot) must be empty or one entry per source. Runs
-  /// the owned ranker's cold kappa = 0 solve before returning.
+  /// `model` and `store` must outlive the pipeline. `hosts` (a shared
+  /// index or names to index, once, here) must be empty or one unique
+  /// name per source; every snapshot shares the one index. Throws, before
+  /// any thread starts, when it is not. Runs the owned ranker's cold
+  /// kappa = 0 solve before returning.
   RecomputePipeline(const core::SpamResilientSourceRank& model,
-                    std::vector<std::string> hosts, SnapshotStore& store,
+                    graph::Hosts hosts, SnapshotStore& store,
                     RecomputeConfig config = {});
 
   /// Dynamic mode: the pipeline becomes the single writer of `ranker`
   /// (and its DynamicSourceGraph). Both must outlive the pipeline;
-  /// hosts are read from the ranker's graph at every publish (the host
-  /// set can grow).
+  /// every publish shares the graph's current host index (the host set
+  /// can grow).
   RecomputePipeline(stream::IncrementalRanker& ranker, SnapshotStore& store,
                     RecomputeConfig config = {});
   ~RecomputePipeline();
@@ -177,17 +180,18 @@ class RecomputePipeline {
   /// The Sec. 6.2 kappa: spam-proximity walk from the labels over the
   /// current source topology, the top_k most proximate fully throttled.
   std::vector<f64> label_kappa(const Labels& labels) const;
-  /// The ranker's current sigma as a snapshot.
-  RankSnapshot ranker_snapshot(const RunTotals& totals) const;
+  /// The ranker's current sigma as a snapshot, its rank order patched
+  /// from last_published_'s by the rows the ranker changed since.
+  RankSnapshot ranker_snapshot(const RunTotals& totals);
   /// Publishes a run's snapshot, or fails the run when it did not
   /// converge; either way stats, watchdogs and metrics follow.
-  void publish(RankSnapshot snapshot, const RunTotals& totals);
+  void publish(const RunTotals& totals);
   /// Counts one failure; the live epoch stays as it is.
   void fail(const std::string& why);
 
   /// Static mode: the snapshots' hosts, the model's topology and the
   /// owned ranker (dynamic mode reads hosts and topology off the graph).
-  std::vector<std::string> hosts_;
+  graph::HostIndexPtr hosts_;
   const graph::Graph* topology_ = nullptr;
   std::optional<stream::IncrementalRanker> owned_;
   stream::IncrementalRanker* ranker_;  // &*owned_, or the caller's
@@ -197,6 +201,9 @@ class RecomputePipeline {
   /// Worker only: policy label of the last kappa-bearing update,
   /// stamped into every publish's meta.
   std::string applied_policy_ = "uniform_zero";
+  /// Worker only: this pipeline's newest epoch. The ranker's changed
+  /// rows are counted from it, so the next publish patches its order.
+  SnapshotPtr last_published_;
   mutable std::mutex mutex_;
   std::condition_variable wake_;   // worker: queue non-empty or stopping
   std::condition_variable idle_;   // drain(): queue empty and not busy

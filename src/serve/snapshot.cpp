@@ -34,37 +34,70 @@ u64 payload_checksum(std::span<const f64> scores) {
 
 }  // namespace
 
-RankSnapshot::RankSnapshot(std::vector<f64> scores,
-                           std::vector<std::string> hosts, SnapshotMeta meta)
-    : scores_(std::move(scores)), hosts_(std::move(hosts)),
-      meta_(std::move(meta)) {
-  const NodeId n = static_cast<NodeId>(scores_.size());
-  if (hosts_.empty()) {
-    hosts_.reserve(n);
-    for (NodeId s = 0; s < n; ++s) hosts_.push_back("s" + std::to_string(s));
-  }
-  SRSR_CHECK(hosts_.size() == scores_.size(), "RankSnapshot: ",
-             hosts_.size(), " hosts for ", scores_.size(), " scores");
-  host_ids_.reserve(n);
-  for (NodeId s = 0; s < n; ++s) host_ids_.emplace(hosts_[s], s);
+RankSnapshot::RankSnapshot(std::vector<f64> scores, graph::Hosts hosts,
+                           SnapshotMeta meta)
+    : scores_(std::move(scores)),
+      hosts_(std::move(hosts).resolve(num_sources(), "RankSnapshot")),
+      meta_(std::move(meta)), payload_hash_(payload_checksum(scores_)),
+      checksum_(fnv1a_u64(payload_hash_, meta_.epoch)) {
+  build_order(nullptr, {});
+}
 
-  order_.resize(n);
-  std::iota(order_.begin(), order_.end(), NodeId{0});
-  std::sort(order_.begin(), order_.end(), [&](NodeId a, NodeId b) {
+RankSnapshot::RankSnapshot(std::vector<f64> scores, graph::Hosts hosts,
+                           SnapshotMeta meta, const RankSnapshot& previous,
+                           std::span<const NodeId> changed)
+    : scores_(std::move(scores)),
+      hosts_(std::move(hosts).resolve(num_sources(), "RankSnapshot")),
+      meta_(std::move(meta)), payload_hash_(payload_checksum(scores_)),
+      checksum_(fnv1a_u64(payload_hash_, meta_.epoch)) {
+  SRSR_CHECK(previous.num_sources() <= num_sources(),
+             "RankSnapshot: previous epoch has ", previous.num_sources(),
+             " sources, this one ", num_sources());
+  build_order(&previous, changed);
+}
+
+void RankSnapshot::build_order(const RankSnapshot* previous,
+                               std::span<const NodeId> changed) {
+  const NodeId n = num_sources();
+  const auto before = [&](NodeId a, NodeId b) {
     if (scores_[a] != scores_[b]) return scores_[a] > scores_[b];
     return a < b;
-  });
+  };
+  // fresh: rows sorted afresh — the changed ones and those `previous`
+  // lacks (every row without one). kept: previous's other rows, in its
+  // order.
+  const NodeId old_n = previous ? previous->num_sources() : 0;
+  std::vector<u8> is_fresh(n, 0);
+  for (const NodeId s : changed) {
+    SRSR_CHECK(s < n, "RankSnapshot: changed row ", s, " out of range");
+    is_fresh[s] = 1;
+  }
+  std::fill(is_fresh.begin() + old_n, is_fresh.end(), u8{1});
+  std::vector<NodeId> fresh;
+  for (NodeId s = 0; s < n; ++s)
+    if (is_fresh[s]) fresh.push_back(s);
+  std::vector<NodeId> kept;
+  if (previous) {
+    kept.reserve(n - fresh.size());
+    for (const NodeId s : previous->order_)
+      if (!is_fresh[s]) kept.push_back(s);
+  }
+  // Insertion sort: the kept rows' scores all moved by one shared
+  // rescale, which keeps their order except inside runs of (new or old)
+  // rounding ties, so this is a linear pass plus a few swaps.
+  for (std::size_t i = 1; i < kept.size(); ++i) {
+    const NodeId s = kept[i];
+    std::size_t j = i;
+    for (; j > 0 && before(s, kept[j - 1]); --j) kept[j] = kept[j - 1];
+    kept[j] = s;
+  }
+  std::sort(fresh.begin(), fresh.end(), before);
+  order_.resize(n);
+  std::merge(kept.begin(), kept.end(), fresh.begin(), fresh.end(),
+             order_.begin(), before);
   rank_.resize(n);
   for (NodeId pos = 0; pos < n; ++pos)
     rank_[order_[pos]] = static_cast<u32>(pos) + 1;
-
-  checksum_ = fnv1a_u64(payload_checksum(scores_), meta_.epoch);
-}
-
-std::optional<NodeId> RankSnapshot::id_of(const std::string& host) const {
-  const auto it = host_ids_.find(host);
-  if (it == host_ids_.end()) return std::nullopt;
-  return it->second;
 }
 
 std::span<const NodeId> RankSnapshot::top(u32 k) const {
@@ -78,12 +111,11 @@ bool RankSnapshot::verify_checksum() const {
 
 void RankSnapshot::stamp_epoch(u64 epoch) {
   meta_.epoch = epoch;
-  checksum_ = fnv1a_u64(payload_checksum(scores_), epoch);
+  checksum_ = fnv1a_u64(payload_hash_, epoch);
 }
 
 RankSnapshot make_snapshot(const core::SpamResilientSourceRank& model,
-                           std::span<const f64> kappa,
-                           std::vector<std::string> hosts,
+                           std::span<const f64> kappa, graph::Hosts hosts,
                            const SnapshotBuild& build) {
   obs::Span span("serve.snapshot_build");
   obs::StageTimer stage("serve.snapshot_build");

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "util/check.hpp"
@@ -18,32 +20,16 @@ constexpr NodeId kOverlayDivisor = 16;
 
 DynamicSourceGraph::DynamicSourceGraph(const graph::Graph& pages,
                                        const core::SourceMap& map,
-                                       std::vector<std::string> hosts)
-    : base_(pages), page_source_(map.page_source()), hosts_(std::move(hosts)) {
+                                       graph::Hosts hosts)
+    : base_(pages), page_source_(map.page_source()),
+      hosts_(std::move(hosts).resolve(map.num_sources(),
+                                      "DynamicSourceGraph")) {
   // graph::Graph guarantees sorted, distinct out-neighbors per page, so
   // the base is a plain copy of the seed CSR.
   SRSR_CHECK(pages.num_nodes() == map.num_pages(),
              "DynamicSourceGraph: page graph and source map disagree on "
              "page count");
   const u32 ns = map.num_sources();
-  SRSR_CHECK(hosts_.empty() || hosts_.size() == ns,
-             "DynamicSourceGraph: ", hosts_.size(), " hosts for ", ns,
-             " sources");
-  if (hosts_.empty()) {
-    hosts_.reserve(ns);
-    for (u32 s = 0; s < ns; ++s) {
-      std::string name("s");
-      name += std::to_string(s);
-      hosts_.push_back(std::move(name));
-    }
-  }
-  host_ids_.reserve(hosts_.size());
-  for (u32 s = 0; s < ns; ++s) {
-    const bool inserted = host_ids_.emplace(hosts_[s], s).second;
-    SRSR_CHECK(inserted, "DynamicSourceGraph: duplicate host name '",
-               hosts_[s], "' — host names key page additions");
-  }
-
   row_begin_.assign(ns, 0);
   row_len_.assign(ns, 0);
   row_stats_.self.assign(ns, 0.0);
@@ -52,13 +38,6 @@ DynamicSourceGraph::DynamicSourceGraph(const graph::Graph& pages,
   has_links_.assign(ns, 0);
   index_source_pages();
   for (u32 s = 0; s < ns; ++s) derive_row(s);
-}
-
-std::optional<NodeId> DynamicSourceGraph::source_id(
-    const std::string& host) const {
-  const auto it = host_ids_.find(host);
-  if (it == host_ids_.end()) return std::nullopt;
-  return it->second;
 }
 
 NodeId DynamicSourceGraph::source_of_page(NodeId page) const {
@@ -72,6 +51,7 @@ DynamicSourceGraph::Storage DynamicSourceGraph::storage() const {
   out.arena_entries = cols_.size();
   out.page_folds = page_folds_;
   out.arena_compactions = arena_compactions_;
+  out.host_index_swaps = host_index_swaps_;
   return out;
 }
 
@@ -239,67 +219,87 @@ DynamicSourceGraph::ApplyResult DynamicSourceGraph::apply(
   // deduplicated.
   std::vector<NodeId>& dirty = result.dirty;
   const u32 ns_before = num_sources();
+  // Hosts this batch creates. They join the index in one new HostIndex
+  // at the end of the batch, also when a mutation throws, so the index
+  // always names every source the rows cover.
+  std::vector<std::string> added;
+  std::unordered_map<std::string, NodeId> added_ids;  // lookup only
+  const auto index_added = [&] {
+    if (added.empty()) return;
+    hosts_ = hosts_->with_added(added);
+    ++host_index_swaps_;
+  };
 
-  for (const Mutation& m : batch.mutations) {
-    switch (m.kind) {
-      case MutationKind::kInsertLink:
-      case MutationKind::kEraseLink: {
-        SRSR_CHECK(m.u < num_pages() && m.v < num_pages(),
-                   "DynamicSourceGraph: link (", m.u, " -> ", m.v,
-                   ") references a page outside [0, ", num_pages(),
-                   ") — was the batch committed against this graph?");
-        const auto out = page_out(m.u);
-        const bool insert = m.kind == MutationKind::kInsertLink;
-        if (std::binary_search(out.begin(), out.end(), m.v) == insert) {
-          ++result.noops;
+  try {
+    for (const Mutation& m : batch.mutations) {
+      switch (m.kind) {
+        case MutationKind::kInsertLink:
+        case MutationKind::kEraseLink: {
+          SRSR_CHECK(m.u < num_pages() && m.v < num_pages(),
+                     "DynamicSourceGraph: link (", m.u, " -> ", m.v,
+                     ") references a page outside [0, ", num_pages(),
+                     ") — was the batch committed against this graph?");
+          const auto out = page_out(m.u);
+          const bool insert = m.kind == MutationKind::kInsertLink;
+          if (std::binary_search(out.begin(), out.end(), m.v) == insert) {
+            ++result.noops;
+            break;
+          }
+          auto& row = page_out_for_edit(m.u);
+          const auto it = std::lower_bound(row.begin(), row.end(), m.v);
+          if (insert)
+            row.insert(it, m.v);
+          else
+            row.erase(it);
+          ++result.applied;
+          dirty.push_back(page_source_[m.u]);
           break;
         }
-        auto& row = page_out_for_edit(m.u);
-        const auto it = std::lower_bound(row.begin(), row.end(), m.v);
-        if (insert)
-          row.insert(it, m.v);
-        else
-          row.erase(it);
-        ++result.applied;
-        dirty.push_back(page_source_[m.u]);
-        break;
-      }
-      case MutationKind::kAddPage: {
-        SRSR_CHECK(!m.host.empty(),
-                   "DynamicSourceGraph: add_page with an empty host");
-        NodeId sid;
-        const auto it = host_ids_.find(m.host);
-        if (it != host_ids_.end()) {
-          sid = it->second;
-        } else {
-          sid = static_cast<NodeId>(num_sources());
-          host_ids_.emplace(m.host, sid);
-          hosts_.push_back(m.host);
-          // The new source starts page-less and link-less: its
-          // augmented row is a pure self-loop (weight 1), exactly what
-          // derive_row computes for an empty source.
-          row_begin_.push_back(cols_.size());
-          row_len_.push_back(1);
-          cols_.push_back(sid);
-          weights_.push_back(1.0);
-          row_entries_ += 1;
-          row_stats_.self.push_back(1.0);
-          row_stats_.off.push_back(0.0);
-          row_stats_.empty.push_back(0);
-          has_links_.push_back(0);
-          ++result.new_sources;
+        case MutationKind::kAddPage: {
+          SRSR_CHECK(!m.host.empty(),
+                     "DynamicSourceGraph: add_page with an empty host");
+          NodeId sid;
+          const auto known = hosts_->id_of(m.host);
+          const auto it = added_ids.find(m.host);
+          if (known) {
+            sid = *known;
+          } else if (it != added_ids.end()) {
+            sid = it->second;
+          } else {
+            sid = static_cast<NodeId>(num_sources());
+            added_ids.emplace(m.host, sid);
+            added.push_back(m.host);
+            // The new source starts page-less and link-less: its
+            // augmented row is a pure self-loop (weight 1), exactly what
+            // derive_row computes for an empty source.
+            row_begin_.push_back(cols_.size());
+            row_len_.push_back(1);
+            cols_.push_back(sid);
+            weights_.push_back(1.0);
+            row_entries_ += 1;
+            row_stats_.self.push_back(1.0);
+            row_stats_.off.push_back(0.0);
+            row_stats_.empty.push_back(0);
+            has_links_.push_back(0);
+            ++result.new_sources;
+          }
+          const NodeId pid = num_pages();
+          page_overlay_.try_emplace(pid);
+          page_source_.push_back(sid);
+          source_overlay_[sid].push_back(pid);
+          ++result.applied;
+          // A link-less page changes no consensus count; the owning row
+          // only becomes dirty when a later mutation links from it.
+          break;
         }
-        const NodeId pid = num_pages();
-        page_overlay_.try_emplace(pid);
-        page_source_.push_back(sid);
-        source_overlay_[sid].push_back(pid);
-        ++result.applied;
-        // A link-less page changes no consensus count; the owning row
-        // only becomes dirty when a later mutation links from it.
-        break;
       }
     }
   }
+  catch (...) {
+    index_added();
+    throw;
+  }
+  index_added();
 
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());

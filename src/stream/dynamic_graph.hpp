@@ -29,6 +29,10 @@
 //     page graph — the stream_update_test pins this row for row.
 //   - The kappa-independent ThrottleRowStats of that store, repaired
 //     for dirty rows only, so the throttle plan stays O(V).
+//   - Hosts: one immutable graph::HostIndex behind a shared_ptr, which
+//     every snapshot built from this graph shares. A batch that adds
+//     sources swaps in a new index once, at its end (copy-on-write); an
+//     index a snapshot holds is never mutated.
 //
 // apply() returns the dirty rows WITH their pre-edit row contents, in
 // one flat buffer: the IncrementalRanker needs both sides of every
@@ -49,6 +53,7 @@
 #include "core/source_map.hpp"
 #include "core/throttle.hpp"
 #include "graph/graph.hpp"
+#include "graph/host_index.hpp"
 #include "rank/stochastic.hpp"
 #include "stream/edge_stream.hpp"
 #include "util/common.hpp"
@@ -61,14 +66,18 @@ class DynamicSourceGraph {
   /// `hosts` must be empty (names are synthesized as "s<i>") or carry
   /// one entry per source; names must be unique (they key add_page).
   DynamicSourceGraph(const graph::Graph& pages, const core::SourceMap& map,
-                     std::vector<std::string> hosts);
+                     graph::Hosts hosts);
 
   u32 num_sources() const { return static_cast<u32>(row_len_.size()); }
   NodeId num_pages() const { return static_cast<NodeId>(page_source_.size()); }
   u64 row_entries() const { return row_entries_; }
 
-  const std::vector<std::string>& hosts() const { return hosts_; }
-  std::optional<NodeId> source_id(const std::string& host) const;
+  /// The current host index. It is replaced, never mutated, by a
+  /// batch that adds sources; a holder keeps the one it took.
+  const graph::HostIndexPtr& hosts() const { return hosts_; }
+  std::optional<NodeId> source_id(const std::string& host) const {
+    return hosts_->id_of(host);
+  }
   NodeId source_of_page(NodeId page) const;
 
   struct ApplyResult {
@@ -127,6 +136,7 @@ class DynamicSourceGraph {
     u64 arena_entries = 0;      // row arena slots, live and dead
     u64 page_folds = 0;         // overlay folds into a fresh base
     u64 arena_compactions = 0;  // row arena rewrites in row order
+    u64 host_index_swaps = 0;   // batches that replaced the host index
   };
   Storage storage() const;
 
@@ -151,9 +161,7 @@ class DynamicSourceGraph {
   std::vector<u64> source_page_offsets_;
   std::vector<NodeId> source_page_ids_;
   std::unordered_map<NodeId, std::vector<NodeId>> source_overlay_;
-  std::vector<std::string> hosts_;
-  /// Host -> source id. Lookup only — NEVER iterated.
-  std::unordered_map<std::string, NodeId> host_ids_;
+  graph::HostIndexPtr hosts_;
 
   // Self-edge-augmented consensus rows (T') + their throttle stats.
   std::vector<u64> row_begin_;
@@ -172,6 +180,7 @@ class DynamicSourceGraph {
   std::vector<f64> weights_scratch_;
   u64 page_folds_ = 0;
   u64 arena_compactions_ = 0;
+  u64 host_index_swaps_ = 0;
 };
 
 }  // namespace srsr::stream

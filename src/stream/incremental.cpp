@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <numeric>
 #include <utility>
 
 #include "core/srsr.hpp"
@@ -73,6 +74,7 @@ IncrementalRanker::IncrementalRanker(DynamicSourceGraph* graph,
   SRSR_CHECK(ns > 0, "IncrementalRanker: graph has no sources");
   WallTimer timer;
   kappa_.assign(ns, 0.0);
+  changed_mask_.assign(ns, 0);
   plan_ = core::make_throttle_plan(row_stats_, kappa_, config_.mode);
   seed_cold();
   // Initial seed mass is ||c||_1 = 1 > any sane threshold: the decision
@@ -104,6 +106,27 @@ void IncrementalRanker::grow_state(u32 old_sources) {
   const f64 shift = c_new - 1.0 / static_cast<f64>(old_sources);
   for (u32 i = 0; i < old_sources; ++i) r_[i] += shift;
   r_.resize(ns, c_new);
+  changed_mask_.resize(ns, 0);
+  std::vector<NodeId> grown(ns - old_sources);
+  std::iota(grown.begin(), grown.end(), old_sources);
+  note_changed(grown);
+}
+
+void IncrementalRanker::note_changed(std::span<const NodeId> rows) {
+  if (all_changed_) return;
+  for (const NodeId s : rows) {
+    if (changed_mask_[s]) continue;
+    changed_mask_[s] = 1;
+    changed_rows_.push_back(s);
+  }
+}
+
+std::optional<std::vector<NodeId>> IncrementalRanker::take_changed_rows() {
+  for (const NodeId s : changed_rows_) changed_mask_[s] = 0;
+  std::vector<NodeId> rows = std::move(changed_rows_);
+  changed_rows_.clear();
+  if (std::exchange(all_changed_, false)) return std::nullopt;
+  return rows;
 }
 
 void IncrementalRanker::inject_row(NodeId row, const rank::OperatorRow& entries,
@@ -133,6 +156,7 @@ UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
   outcome.path = need_cold ? UpdatePath::kFull : UpdatePath::kDelta;
   rank::PushResult result;
   std::vector<f64> residual;
+  std::vector<NodeId> pushed;
   if (!need_cold) {
     const u64 n = num_sources();
     // The cap is a stall safeguard, not a budget: signed push contracts
@@ -141,10 +165,11 @@ UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
     push.max_pushes = config_.max_delta_pushes != 0 ? config_.max_delta_pushes
                                                     : 512 * n + 4096;
     result = rank::push_continue(push, std::move(p_), std::move(r_), plan_,
-                                 row_of_, &residual);
+                                 row_of_, &residual, &pushed);
     if (result.converged) {
       p_ = std::move(result.scores);
       r_ = std::move(residual);
+      note_changed(pushed);
     } else {
       // Residual stalled under the cap: the warm state is suspect —
       // discard it and re-solve cold for correctness.
@@ -155,6 +180,7 @@ UpdateOutcome IncrementalRanker::solve(UpdateOutcome outcome) {
   }
   if (need_cold) {
     seed_cold();
+    all_changed_ = true;
     push.max_pushes = 0;
     result = rank::push_continue(push, std::move(p_), std::move(r_), plan_,
                                  row_of_, &residual);

@@ -47,6 +47,7 @@
 // snapshots.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -143,6 +144,14 @@ class IncrementalRanker {
 
   const UpdateOutcome& last_outcome() const { return last_outcome_; }
 
+  /// The rows whose raw estimate changed since the last call (in no
+  /// particular order, each once), or nullopt when every row may have: a
+  /// cold solve or a fallback ran since, or this is the first call. A
+  /// delta solve changes exactly the rows it pushed; growth adds the new
+  /// rows. Resets the record. The serve layer patches each epoch's rank
+  /// order from these rows.
+  std::optional<std::vector<NodeId>> take_changed_rows();
+
  private:
   /// Both public constructors delegate here.
   IncrementalRanker(DynamicSourceGraph* graph, rank::RowAccessor row_of,
@@ -158,6 +167,8 @@ class IncrementalRanker {
                   const rank::RowAffinePlan& plan, f64 sign);
   /// Seed-mass decision + push + fallback; fills and stores the outcome.
   UpdateOutcome solve(UpdateOutcome outcome);
+  /// Adds rows to the changed record (take_changed_rows).
+  void note_changed(std::span<const NodeId> rows);
 
   DynamicSourceGraph* graph_;  // null when bound to a static model
   const rank::RowAccessor row_of_;  // T' base rows, graph's or model's
@@ -169,6 +180,11 @@ class IncrementalRanker {
   std::vector<f64> r_;  // its exact residual
   u64 last_sequence_ = 0;
   UpdateOutcome last_outcome_;
+  // The changed record: every row, or the listed ones (flagged in
+  // changed_mask_ so each is listed once).
+  bool all_changed_ = true;
+  std::vector<u8> changed_mask_;
+  std::vector<NodeId> changed_rows_;
 };
 
 }  // namespace srsr::stream

@@ -1,9 +1,16 @@
-// Tests for the immutable CSR Graph (graph/graph.hpp).
+// Tests for the immutable CSR Graph (graph/graph.hpp) and the shared
+// host table (graph/host_index.hpp).
 #include "graph/graph.hpp"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "graph/builder.hpp"
+#include "graph/host_index.hpp"
+#include "util/check.hpp"
 
 namespace srsr::graph {
 namespace {
@@ -92,6 +99,59 @@ TEST(Graph, EqualityIsStructural) {
 TEST(Graph, MemoryBytesAccounting) {
   const Graph g = triangle();
   EXPECT_EQ(g.memory_bytes(), 4 * sizeof(u64) + 3 * sizeof(NodeId));
+}
+
+TEST(HostIndex, ResolvesNamesBothWays) {
+  std::vector<std::string> names;
+  for (int i = 0; i < 1000; ++i)
+    names.push_back("host-" + std::to_string(i) + ".example");
+  const HostIndex index(names);
+  ASSERT_EQ(index.size(), 1000u);
+  EXPECT_EQ(index.names(), names);
+  for (NodeId id = 0; id < index.size(); ++id) {
+    EXPECT_EQ(index.name(id), names[id]);
+    EXPECT_EQ(index.id_of(names[id]), id);
+  }
+  EXPECT_FALSE(index.id_of("host-1000.example").has_value());
+  EXPECT_FALSE(index.id_of("").has_value());
+  EXPECT_FALSE(HostIndex({}).id_of("a").has_value());
+}
+
+TEST(HostIndex, RejectsDuplicateNames) {
+  try {
+    const HostIndex index({"a.example", "b.example", "a.example"});
+    FAIL() << "duplicate host name accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("'a.example'"), std::string::npos)
+        << e.what();
+  }
+  const HostIndexPtr base =
+      std::make_shared<const HostIndex>(std::vector<std::string>{"a.example"});
+  const std::vector<std::string> again = {"b.example", "a.example"};
+  EXPECT_THROW(base->with_added(again), ContractViolation);
+}
+
+TEST(HostIndex, WithAddedLeavesTheOriginalAsItIs) {
+  const HostIndexPtr base = Hosts().resolve(3, "test");
+  const std::vector<std::string> added = {"x.example", "y.example"};
+  const HostIndexPtr grown = base->with_added(added);
+  EXPECT_EQ(base->size(), 3u);
+  EXPECT_FALSE(base->id_of("x.example").has_value());
+  ASSERT_EQ(grown->size(), 5u);
+  EXPECT_EQ(grown->name(2), "s2");
+  EXPECT_EQ(grown->id_of("y.example"), 4u);
+}
+
+TEST(Hosts, ResolveSharesIndexesAndChecksTheCount) {
+  const HostIndexPtr index =
+      std::make_shared<const HostIndex>(std::vector<std::string>{"a", "b"});
+  EXPECT_EQ(Hosts(index).resolve(2, "test"), index);
+  EXPECT_THROW(Hosts(index).resolve(3, "test"), ContractViolation);
+  EXPECT_EQ(Hosts().resolve(2, "test")->name(1), "s1");
+  EXPECT_EQ(Hosts(std::vector<std::string>{"p", "q"}).resolve(2, "t")->name(0),
+            "p");
+  EXPECT_THROW(Hosts(std::vector<std::string>{"p"}).resolve(2, "test"),
+               ContractViolation);
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -17,6 +19,8 @@
 #include "rank/solvers.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/store.hpp"
+#include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace srsr::serve {
 namespace {
@@ -78,6 +82,90 @@ TEST(RankSnapshot, ChecksumCoversScores) {
   EXPECT_TRUE(a.verify_checksum());
   const auto b = snapshot_of({0.75, 0.25});
   EXPECT_NE(a.checksum(), b.checksum());
+}
+
+TEST(RankSnapshot, RejectsDuplicateHostNames) {
+  EXPECT_THROW(snapshot_of({0.5, 0.25, 0.25}, {"a", "b", "a"}),
+               ContractViolation);
+  EXPECT_THROW(snapshot_of({0.5, 0.5}, {"a"}), ContractViolation);
+}
+
+TEST(RankSnapshot, MakeSnapshotRejectsDuplicateHostNames) {
+  const auto corpus = small_corpus();
+  const core::SourceMap map = core::SourceMap::from_corpus(corpus);
+  const core::SpamResilientSourceRank model(corpus.pages, map);
+  auto hosts = corpus.source_hosts;
+  hosts[9] = hosts[4];
+  const std::vector<f64> zeros(model.num_sources(), 0.0);
+  EXPECT_THROW(make_snapshot(model, zeros, hosts), ContractViolation);
+}
+
+TEST(RankSnapshot, SharesAHostIndexItIsGiven) {
+  const auto index = std::make_shared<const graph::HostIndex>(
+      std::vector<std::string>{"a", "b"});
+  const RankSnapshot first({0.5, 0.5}, index, {});
+  const RankSnapshot second({0.75, 0.25}, first.host_index(), {});
+  EXPECT_EQ(first.host_index(), index);
+  EXPECT_EQ(second.host_index(), index);
+  EXPECT_EQ(second.id_of("b"), 1u);
+  EXPECT_THROW(RankSnapshot({1.0}, index, {}), ContractViolation);
+}
+
+/// `snap`'s rank order, top list and rank_of both, equals a from-scratch
+/// build over the same scores, bit for bit.
+void expect_full_sort_order(const RankSnapshot& snap, const std::string& where) {
+  const RankSnapshot full(
+      std::vector<f64>(snap.scores().begin(), snap.scores().end()),
+      snap.host_index(), snap.meta());
+  const auto got = snap.top(snap.num_sources());
+  const auto want = full.top(full.num_sources());
+  ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+      << where;
+  for (NodeId s = 0; s < snap.num_sources(); ++s)
+    ASSERT_EQ(snap.rank_of(s), full.rank_of(s)) << where << ", row " << s;
+}
+
+TEST(RankSnapshot, PatchedOrderEqualsAFullSortTiesIncluded) {
+  Pcg32 rng(2024, 3);
+  // Raw estimates from a few exact values and their next few doubles:
+  // exact ties, zeros, and neighbours that the shared 1/||p|| rescale
+  // rounds into ties in one epoch and apart in the next.
+  const auto draw = [&] {
+    if (rng.next_below(10) == 0) return 0.0;
+    f64 v = 1.0 + rng.next_below(6);
+    for (u32 k = rng.next_below(4); k > 0; --k) v = std::nextafter(v, 8.0);
+    return v;
+  };
+  const auto sigma_of = [](std::vector<f64> p) {
+    f64 sum = 0.0;
+    for (const f64 v : p) sum += v;
+    for (f64& v : p) v /= sum;
+    return p;
+  };
+  std::vector<f64> raw(300);
+  for (f64& v : raw) v = draw();
+  RankSnapshot prev(sigma_of(raw), {}, {});
+  for (u32 round = 0; round < 60; ++round) {
+    std::vector<NodeId> changed;
+    const u32 edits = rng.next_below(static_cast<u32>(raw.size() / 4));
+    for (u32 e = 0; e < edits; ++e) {
+      const NodeId s = rng.next_below(static_cast<u32>(raw.size()));
+      raw[s] = draw();
+      changed.push_back(s);  // repeats allowed
+    }
+    // Every fifth round grows the id space; new rows need no listing.
+    if (round % 5 == 4)
+      for (u32 k = rng.next_below(4); k > 0; --k) raw.push_back(draw());
+    RankSnapshot next(sigma_of(raw), {}, {}, prev, changed);
+    expect_full_sort_order(next, "round " + std::to_string(round));
+    prev = std::move(next);
+  }
+  // Correct whatever `changed` holds: an unrelated previous epoch and
+  // nothing listed only costs more repair.
+  std::vector<f64> scrambled(prev.num_sources());
+  for (f64& v : scrambled) v = draw();
+  const RankSnapshot unrelated(sigma_of(scrambled), {}, {}, prev, {});
+  expect_full_sort_order(unrelated, "unrelated previous epoch");
 }
 
 TEST(QueryEngine, ServesNulloptBeforeFirstPublish) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -24,6 +25,8 @@
 #include "serve/snapshot.hpp"
 #include "serve/store.hpp"
 #include "stream/incremental.hpp"
+#include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace srsr::serve {
 namespace {
@@ -277,6 +280,74 @@ TEST(RecomputePipeline, StopIsIdempotentAndDropsQueue) {
   pipeline->submit(fx.ring_kappa(0.6));
   EXPECT_EQ(accounted(pipeline->stats()), pipeline->stats().submitted);
   pipeline.reset();  // destructor after explicit stop is safe too
+}
+
+TEST(RecomputePipeline, RejectsDuplicateHostsBeforeTheWorkerStarts) {
+  Fixture fx;
+  auto hosts = fx.corpus.source_hosts;
+  hosts[7] = hosts[3];
+  // A throw after the worker started would std::terminate the test.
+  EXPECT_THROW(RecomputePipeline(fx.model, hosts, fx.store),
+               ContractViolation);
+  EXPECT_EQ(fx.store.current(), nullptr);
+}
+
+TEST(RecomputePipeline, EpochsShareOneHostIndex) {
+  Fixture fx;
+  const graph::HostIndexPtr index =
+      std::make_shared<const graph::HostIndex>(fx.corpus.source_hosts);
+  RecomputePipeline pipeline(fx.model, index, fx.store);
+  pipeline.submit(fx.ring_kappa(0.5));
+  pipeline.drain();
+  const SnapshotPtr first = fx.store.current();
+  pipeline.submit(fx.ring_kappa(0.9));
+  pipeline.drain();
+  const SnapshotPtr second = fx.store.current();
+  ASSERT_NE(first, second);
+  EXPECT_EQ(first->host_index(), index);
+  EXPECT_EQ(second->host_index(), index);
+
+  // Names given as a list are indexed once, in the constructor.
+  SnapshotStore other;
+  RecomputePipeline by_name(fx.model, fx.corpus.source_hosts, other);
+  by_name.submit(fx.ring_kappa(0.5));
+  by_name.drain();
+  const SnapshotPtr a = other.current();
+  by_name.submit(fx.ring_kappa(0.9));
+  by_name.drain();
+  EXPECT_EQ(other.current()->host_index(), a->host_index());
+  EXPECT_EQ(a->hosts(), fx.corpus.source_hosts);
+}
+
+TEST(RecomputePipeline, PatchedRankOrderEqualsAFullSort) {
+  Fixture fx;
+  RecomputePipeline pipeline(fx.model, {}, fx.store);
+  Pcg32 rng(91, 5);
+  const u32 n = fx.model.num_sources();
+  for (u32 round = 0; round < 12; ++round) {
+    // One to three kappa updates per run: a run's changed rows are the
+    // union over its updates. Fully throttled sources, and the spam
+    // ring at one shared strength, make score ties.
+    for (u32 u = 0, runs = 1 + rng.next_below(3); u < runs; ++u) {
+      std::vector<f64> kappa = fx.ring_kappa(0.1 * rng.next_below(11));
+      for (u32 k = 0; k < 8; ++k)
+        kappa[rng.next_below(n)] = rng.next_bool(0.5) ? 1.0 : rng.next_real();
+      pipeline.submit(std::move(kappa));
+    }
+    pipeline.drain();
+    const SnapshotPtr live = fx.store.current();
+    ASSERT_NE(live, nullptr);
+    const RankSnapshot full(
+        std::vector<f64>(live->scores().begin(), live->scores().end()), {},
+        live->meta());
+    const auto got = live->top(n);
+    const auto want = full.top(n);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "round " << round;
+    for (NodeId s = 0; s < n; ++s)
+      ASSERT_EQ(live->rank_of(s), full.rank_of(s)) << "round " << round;
+  }
+  EXPECT_EQ(pipeline.stats().failed, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 // reader threads is the point.
 #include "serve/recompute.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "stream/dynamic_graph.hpp"
 #include "stream/edge_stream.hpp"
 #include "stream/incremental.hpp"
+#include "util/rng.hpp"
 
 namespace srsr::serve {
 namespace {
@@ -89,7 +91,7 @@ TEST(DynamicRecompute, TopologyBatchPublishesThroughTheDeltaPath) {
   EXPECT_TRUE(snap->meta().warm_started);
   EXPECT_TRUE(snap->verify_checksum());
   EXPECT_EQ(snap->num_sources(), fx.ranker.num_sources());
-  EXPECT_EQ(snap->hosts(), fx.graph.hosts());
+  EXPECT_EQ(snap->host_index(), fx.graph.hosts());
 }
 
 TEST(DynamicRecompute, DrainedRunsFoldIntoOnePublish) {
@@ -258,6 +260,133 @@ TEST(DynamicRecompute, ConcurrentReadersNeverSeeATornSnapshot) {
   stop.store(true);
   for (auto& r : readers) r.join();
   EXPECT_GT(reads.load(), 0u);
+  EXPECT_EQ(pipeline.stats().failed, 0u);
+}
+
+TEST(DynamicRecompute, PreGrowthReaderKeepsItsHostSet) {
+  Fixture fx;
+  RecomputePipeline pipeline(fx.ranker, fx.store);
+  pipeline.submit_update(fx.link_batch(0));
+  pipeline.drain();
+  const SnapshotPtr old_epoch = fx.store.current();
+  const NodeId n = old_epoch->num_sources();
+  const std::string probe = fx.corpus.source_hosts[5];
+
+  // A reader holds the pre-growth epoch while the writer grows the
+  // host set under it.
+  std::atomic<bool> stop{false};
+  std::atomic<u64> reads{0};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      reads.fetch_add(1, std::memory_order_relaxed);
+      ASSERT_EQ(old_epoch->num_sources(), n);
+      ASSERT_EQ(old_epoch->hosts().size(), n);
+      ASSERT_EQ(old_epoch->id_of(probe), 5u);
+      ASSERT_FALSE(old_epoch->id_of("grown-0.example").has_value());
+    }
+  });
+  // The writer starts once the reader is reading.
+  while (reads.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
+  for (u32 i = 0; i < 4; ++i) {
+    const NodeId page =
+        fx.stream.add_page("grown-" + std::to_string(i) + ".example");
+    fx.stream.insert_link(page, fx.corpus.source_first_page[i]);
+    fx.stream.insert_link(fx.corpus.source_first_page[i + 10], page);
+    pipeline.submit_update(fx.stream.commit());
+  }
+  pipeline.drain();
+  stop.store(true);
+  reader.join();
+
+  const SnapshotPtr grown = fx.store.current();
+  EXPECT_EQ(grown->num_sources(), n + 4);
+  EXPECT_EQ(grown->id_of("grown-0.example"), n);
+  EXPECT_EQ(grown->id_of(probe), 5u);
+  EXPECT_NE(grown->host_index(), old_epoch->host_index());
+  EXPECT_EQ(old_epoch->hosts().size(), n);
+  EXPECT_TRUE(old_epoch->verify_checksum());
+}
+
+TEST(DynamicRecompute, EpochsWithoutGrowthShareOneHostIndex) {
+  Fixture fx;
+  const graph::HostIndexPtr seeded = fx.graph.hosts();
+  RecomputePipeline pipeline(fx.ranker, fx.store);
+  pipeline.submit_update(fx.link_batch(0));
+  pipeline.drain();
+  const SnapshotPtr first = fx.store.current();
+  std::vector<f64> kappa(fx.ranker.num_sources(), 0.0);
+  kappa[3] = 0.5;
+  pipeline.submit(kappa);
+  pipeline.submit_update(fx.link_batch(1));
+  pipeline.drain();
+  const SnapshotPtr second = fx.store.current();
+  ASSERT_NE(first, second);
+  EXPECT_EQ(first->host_index(), seeded);
+  EXPECT_EQ(second->host_index(), seeded);
+  EXPECT_EQ(fx.graph.hosts(), seeded);
+  EXPECT_EQ(fx.graph.storage().host_index_swaps, 0u);
+}
+
+TEST(DynamicRecompute, GrowthBatchReplacesTheHostIndexOnce) {
+  Fixture fx;
+  const graph::HostIndexPtr seeded = fx.graph.hosts();
+  const NodeId n = seeded->size();
+  RecomputePipeline pipeline(fx.ranker, fx.store);
+  // Three new hosts, two pages each, in one batch.
+  for (u32 h = 0; h < 3; ++h)
+    for (u32 p = 0; p < 2; ++p) {
+      const NodeId page =
+          fx.stream.add_page("new-" + std::to_string(h) + ".example");
+      fx.stream.insert_link(page, fx.corpus.source_first_page[h]);
+    }
+  pipeline.submit_update(fx.stream.commit());
+  pipeline.drain();
+
+  EXPECT_EQ(fx.graph.storage().host_index_swaps, 1u);
+  const graph::HostIndexPtr grown = fx.graph.hosts();
+  EXPECT_NE(grown, seeded);
+  EXPECT_EQ(seeded->size(), n);  // the shared index was not mutated
+  ASSERT_EQ(grown->size(), n + 3);
+  for (u32 h = 0; h < 3; ++h)
+    EXPECT_EQ(grown->id_of("new-" + std::to_string(h) + ".example"), n + h);
+  EXPECT_EQ(fx.store.current()->host_index(), grown);
+}
+
+TEST(DynamicRecompute, PatchedRankOrderEqualsAFullSort) {
+  Fixture fx;
+  RecomputePipeline pipeline(fx.ranker, fx.store);
+  Pcg32 rng(7, 11);
+  const auto pages = [&] { return fx.stream.num_pages(); };
+  for (u32 round = 0; round < 16; ++round) {
+    // Random links, a kappa swap now and then, and every fourth round
+    // two link-less hosts born in one batch: their scores tie exactly.
+    for (u32 k = 0, links = 1 + rng.next_below(6); k < links; ++k)
+      fx.stream.insert_link(rng.next_below(pages()), rng.next_below(pages()));
+    if (round % 4 == 3)
+      for (u32 h = 0; h < 2; ++h)
+        fx.stream.add_page("tie-" + std::to_string(round) + "-" +
+                           std::to_string(h) + ".example");
+    pipeline.submit_update(fx.stream.commit());
+    if (rng.next_bool(0.3)) {
+      pipeline.drain();
+      std::vector<f64> kappa(fx.ranker.num_sources(), 0.0);
+      for (u32 k = 0; k < 6; ++k)
+        kappa[rng.next_below(fx.ranker.num_sources())] = rng.next_real();
+      pipeline.submit(std::move(kappa));
+    }
+    pipeline.drain();
+    const SnapshotPtr live = fx.store.current();
+    const NodeId n = live->num_sources();
+    const RankSnapshot full(
+        std::vector<f64>(live->scores().begin(), live->scores().end()),
+        live->host_index(), live->meta());
+    const auto got = live->top(n);
+    const auto want = full.top(n);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "round " << round;
+    for (NodeId s = 0; s < n; ++s)
+      ASSERT_EQ(live->rank_of(s), full.rank_of(s)) << "round " << round;
+  }
   EXPECT_EQ(pipeline.stats().failed, 0u);
 }
 

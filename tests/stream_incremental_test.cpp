@@ -282,6 +282,43 @@ TEST(IncrementalRanker, MalformedBatchPoisonsThenSelfResyncs) {
   expect_parity(fx.ranker, "recovered");
 }
 
+TEST(IncrementalRanker, ChangedRowsCoverEveryMovedEstimate) {
+  Fixture fx;
+  // The constructor's cold solve changed every row.
+  EXPECT_FALSE(fx.ranker.take_changed_rows().has_value());
+  Pcg32 rng(23);
+  for (u32 round = 0; round < 12; ++round) {
+    const std::vector<f64> before = fx.ranker.raw_estimate();
+    // Two delta batches before one take: the record is their union.
+    for (u32 b = 0; b < 2; ++b) {
+      fx.stream.insert_link(rng.next_below(fx.stream.num_pages()),
+                            rng.next_below(fx.stream.num_pages()));
+      if (round % 4 == 3 && b == 0) fx.stream.add_page("grown.example");
+      ASSERT_EQ(fx.ranker.apply(fx.stream.commit()).path, UpdatePath::kDelta);
+    }
+    const auto changed = fx.ranker.take_changed_rows();
+    ASSERT_TRUE(changed.has_value()) << "round " << round;
+    std::vector<NodeId> rows = *changed;
+    std::sort(rows.begin(), rows.end());
+    EXPECT_TRUE(std::adjacent_find(rows.begin(), rows.end()) == rows.end());
+    const std::vector<f64>& after = fx.ranker.raw_estimate();
+    for (NodeId s = 0; s < after.size(); ++s) {
+      const bool moved = s >= before.size() || after[s] != before[s];
+      if (moved) {
+        EXPECT_TRUE(std::binary_search(rows.begin(), rows.end(), s))
+            << "round " << round << ", row " << s;
+      }
+    }
+    // Taken: nothing changed since.
+    EXPECT_TRUE(fx.ranker.take_changed_rows()->empty());
+  }
+  // A cold full solve changes every row.
+  for (NodeId p = 0; p < fx.corpus.num_pages(); p += 2)
+    fx.stream.insert_link(p, rng.next_below(fx.corpus.num_pages()));
+  ASSERT_EQ(fx.ranker.apply(fx.stream.commit()).path, UpdatePath::kFull);
+  EXPECT_FALSE(fx.ranker.take_changed_rows().has_value());
+}
+
 TEST(IncrementalRanker, RejectsOutOfOrderSequences) {
   Fixture fx;
   UpdateBatch b1;

@@ -464,7 +464,7 @@ TEST(DynamicSourceGraph, SeedsFromRawCsrGraph) {
   }
   const core::SourceMap map(shadow.page_source);
   DynamicSourceGraph graph(pages, map, {});
-  EXPECT_EQ(graph.hosts()[2], "s2");
+  EXPECT_EQ(graph.hosts()->name(2), "s2");
   expect_bitwise_parity(graph, shadow, "raw seed");
   expect_topology_parity(graph, shadow, "raw seed");
 
@@ -500,6 +500,25 @@ TEST(DynamicSourceGraph, RejectsOutOfRangeBatch) {
   bad.mutations.push_back(
       {MutationKind::kInsertLink, graph.num_pages() + 5, 0, ""});
   EXPECT_THROW(graph.apply(bad), Error);
+}
+
+TEST(DynamicSourceGraph, ThrowingBatchStillIndexesTheHostsItAdded) {
+  const auto corpus = small_corpus(10, 2);
+  const core::SourceMap map(corpus.page_source);
+  DynamicSourceGraph graph(corpus.pages, map, corpus.source_hosts);
+  const auto before = graph.hosts();  // the shared index, as seeded
+  const u32 n = graph.num_sources();
+  UpdateBatch bad;
+  bad.mutations.push_back({MutationKind::kAddPage, 0, 0, "late.example"});
+  bad.mutations.push_back(
+      {MutationKind::kInsertLink, graph.num_pages() + 5, 0, ""});
+  EXPECT_THROW(graph.apply(bad), Error);
+  // The source the batch created before it threw has its name.
+  ASSERT_EQ(graph.num_sources(), n + 1);
+  EXPECT_EQ(graph.hosts()->size(), n + 1);
+  EXPECT_EQ(graph.source_id("late.example"), n);
+  EXPECT_EQ(before->size(), n);
+  EXPECT_EQ(graph.storage().host_index_swaps, 1u);
 }
 
 }  // namespace

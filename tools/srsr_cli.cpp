@@ -75,6 +75,7 @@
 #include <vector>
 
 #include "core/srsr.hpp"
+#include "graph/host_index.hpp"
 #include "graph/io.hpp"
 #include "graph/webgen.hpp"
 #include "metrics/ranking.hpp"
@@ -495,6 +496,13 @@ int cmd_serve(const Args& args) {
   }
 
   serve::SnapshotStore store;
+  // One host index for the baseline, the pipeline and every epoch: the
+  // dynamic graph's (replaced when a batch adds hosts), or one built
+  // here from the crawl's hosts.
+  const graph::HostIndexPtr hosts =
+      dynamic ? dyn_graph->hosts()
+              : std::make_shared<const graph::HostIndex>(
+                    corpus.source_hosts);
   // Fixed baseline (kappa = 0, cold solve): what compare() diffs
   // against. In dynamic mode the ranker's construction solve IS the
   // kappa = 0 sigma.
@@ -505,14 +513,13 @@ int cmd_serve(const Args& args) {
     bm.solver = "push";
     bm.converged = ranker->last_outcome().converged;
     baseline = std::make_shared<const serve::RankSnapshot>(
-        ranker->sigma(), dyn_graph->hosts(), std::move(bm));
+        ranker->sigma(), hosts, std::move(bm));
   } else {
     serve::SnapshotBuild baseline_build;
     baseline_build.policy = "baseline";
     const std::vector<f64> zeros(corpus.num_sources(), 0.0);
     baseline = std::make_shared<const serve::RankSnapshot>(
-        serve::make_snapshot(*model, zeros, corpus.source_hosts,
-                             baseline_build));
+        serve::make_snapshot(*model, zeros, hosts, baseline_build));
   }
   // Watchdogs: every query's latency feeds the SLO monitor; every
   // publish is drift-checked against its predecessor (the first one
@@ -527,7 +534,7 @@ int cmd_serve(const Args& args) {
   if (dynamic)
     pipeline.emplace(*ranker, store, recompute_cfg);
   else
-    pipeline.emplace(*model, corpus.source_hosts, store, recompute_cfg);
+    pipeline.emplace(*model, hosts, store, recompute_cfg);
   pipeline->submit(policy, policy_name);
   pipeline->drain();
   {
