@@ -1,7 +1,7 @@
 // Kernel microbenchmarks (google-benchmark): the hot paths behind the
 // experiment harness — rank iterations, source-graph construction, the
-// throttle transform, kappa sweeps (materialized vs lazy view), and
-// BV-style compression. Besides the console output, every run writes
+// throttle transform and kappa sweeps (materialized vs lazy view).
+// Besides the console output, every run writes
 // bench_out/BENCH_micro_kernels.json (obs/report.hpp schema, one table
 // row per benchmark) — the same machine-readable record the table/
 // figure harnesses emit.
@@ -19,7 +19,6 @@
 #include "core/source_graph.hpp"
 #include "core/srsr.hpp"
 #include "core/throttle.hpp"
-#include "graph/compressed.hpp"
 #include "graph/scc.hpp"
 #include "graph/transforms.hpp"
 #include "graph/webgen.hpp"
@@ -298,50 +297,6 @@ void BM_GraphReverse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphReverse)->Unit(benchmark::kMillisecond);
-
-void BM_CompressEncode(benchmark::State& state) {
-  const auto& corpus = corpus_of(4000);
-  double bpe = 0.0;
-  for (auto _ : state) {
-    const graph::CompressedGraph c(corpus.pages);
-    bpe = c.bits_per_edge();
-    benchmark::DoNotOptimize(c.memory_bytes());
-  }
-  state.counters["bits_per_edge"] = bpe;
-}
-BENCHMARK(BM_CompressEncode)->Unit(benchmark::kMillisecond);
-
-void BM_CompressDecodeRandomAccess(benchmark::State& state) {
-  const auto& corpus = corpus_of(4000);
-  const graph::CompressedGraph c(corpus.pages);
-  std::vector<NodeId> nbrs;
-  for (auto _ : state) {
-    u64 total = 0;
-    for (NodeId u = 0; u < c.num_nodes(); ++u) {
-      c.decode(u, nbrs);
-      total += nbrs.size();
-    }
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(c.num_edges()));
-}
-BENCHMARK(BM_CompressDecodeRandomAccess)->Unit(benchmark::kMillisecond);
-
-void BM_CompressDecodeScanner(benchmark::State& state) {
-  const auto& corpus = corpus_of(4000);
-  const graph::CompressedGraph c(corpus.pages);
-  std::vector<NodeId> nbrs;
-  for (auto _ : state) {
-    graph::CompressedGraph::Scanner scan(c);
-    u64 total = 0;
-    while (scan.next(nbrs)) total += nbrs.size();
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(c.num_edges()));
-}
-BENCHMARK(BM_CompressDecodeScanner)->Unit(benchmark::kMillisecond);
 
 void BM_PushSolveLocal(benchmark::State& state) {
   const auto& corpus = corpus_of(2000);

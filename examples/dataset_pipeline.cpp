@@ -9,8 +9,8 @@
 //   edges.txt   "<src> <dst>"          -> page graph
 //   spam_hosts.txt  one host per line  -> match_hosts (blocklist seeds)
 //
-// and finishes with throttled Spam-Resilient SourceRank + a binary
-// graph cache round-trip.
+// and finishes with throttled Spam-Resilient SourceRank and a run
+// report.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -21,7 +21,6 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "util/check.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -68,15 +67,7 @@ int main() {
   std::cout << "blocklist matched " << spam_seeds.size()
             << " source(s) in this crawl\n\n";
 
-  // --- 3. Cache the graph in the binary format (what a production
-  //        pipeline would reuse across runs) and verify the round-trip.
-  const std::string cache = (dir / "pages.srsrgraph").string();
-  graph::write_binary(cache, crawl.pages);
-  SRSR_CHECK(graph::read_binary(cache) == crawl.pages,
-             "binary cache round-trip failed");
-  std::cout << "binary graph cache written to " << cache << "\n\n";
-
-  // --- 4. Rank with spam-proximity throttling from the blocklist,
+  // --- 3. Rank with spam-proximity throttling from the blocklist,
   //        with the telemetry layer on: metrics + per-iteration trace
   //        feed a structured run report at the end.
   obs::set_metrics_enabled(true);
@@ -105,7 +96,7 @@ int main() {
   std::cout << t.render(
       "Spam proximity + SourceRank before/after blocklist throttling");
 
-  // --- 5. Emit the structured run report (what a production pipeline
+  // --- 4. Emit the structured run report (what a production pipeline
   //        would archive next to the ranking output).
   obs::RunReport report("example.dataset_pipeline");
   report.set_meta("pages", static_cast<u64>(crawl.num_pages()));

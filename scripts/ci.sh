@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Single-exit-code CI gate: configure → build → unit tests → sanitizer
 # matrix (tsan + asan) → serve/dynamic/prometheus end-to-end smokes →
-# benchmark suite smoke → clang-tidy → project lint → static analysis
-# (srsr_analyze) → analyzer selftest. Any stage failing fails the run;
-# stages whose tooling is absent (clang-tidy on a gcc-only toolchain)
-# skip with a notice rather than fail.
+# paper golden outputs → benchmark suite smoke → clang-tidy → project
+# lint → static analysis (srsr_analyze) → analyzer selftest. Any stage
+# failing fails the run; stages whose tooling is absent (clang-tidy on a
+# gcc-only toolchain) skip with a notice rather than fail.
 #
 #   scripts/ci.sh
 set -euo pipefail
@@ -87,6 +87,19 @@ grep -q '"traceEvents"' "$TRACE_JSON" \
   || { echo "ci: serve tracefile produced no trace events" >&2; exit 1; }
 grep -q '"serve.recompute"' "$TRACE_JSON" \
   || { echo "ci: serve trace missing recompute span" >&2; exit 1; }
+
+stage "paper golden outputs (table1, fig2-fig7 vs bench/golden/)"
+# The paper benches' stdout is deterministic (log lines go to stderr)
+# and identical at any thread count, so any byte that moves is a change
+# to a reproduced figure. A PR that changes a figure on purpose
+# regenerates the files and says so in CHANGES.md:
+#   for g in bench/golden/*.txt; do
+#     OMP_NUM_THREADS=2 "./build/bench/$(basename "$g" .txt)" > "$g"; done
+for GOLDEN in bench/golden/*.txt; do
+  BENCH=$(basename "$GOLDEN" .txt)
+  OMP_NUM_THREADS=2 "./build/bench/$BENCH" 2>/dev/null | diff -u "$GOLDEN" - \
+    || { echo "ci: $BENCH stdout differs from $GOLDEN" >&2; exit 1; }
+done
 
 stage "benchmark suite smoke (bench/suite/run.sh --smoke)"
 # The suite builds its own tree (build/bench-suite) against the serve

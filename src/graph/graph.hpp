@@ -6,9 +6,8 @@
 //   - 32-bit node ids and 64-bit edge offsets: adjacency is the dominant
 //     allocation, and halving id width doubles effective bandwidth in
 //     the rank kernels.
-//   - neighbors are stored sorted, which (a) enables O(log d) has_edge,
-//     (b) makes iteration cache-predictable, and (c) is what the
-//     BV-style CompressedGraph requires for gap coding.
+//   - neighbors are stored sorted, which (a) enables O(log d) has_edge
+//     and (b) makes iteration cache-predictable.
 //   - the structure is immutable after construction; all mutation goes
 //     through GraphBuilder, so concurrent readers need no locks.
 #pragma once

@@ -13,24 +13,6 @@
 
 namespace srsr::graph {
 
-namespace {
-constexpr char kMagic[8] = {'S', 'R', 'S', 'R', 'G', 'R', 'P', 'H'};
-constexpr u32 kVersion = 1;
-
-template <typename T>
-void write_pod(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof(T));
-  SRSR_CHECK(in.good(), "read_binary: truncated file");
-  return v;
-}
-}  // namespace
-
 void write_edge_list(std::ostream& out, const Graph& g) {
   out << "# srsr edge list: " << g.num_nodes() << " nodes, " << g.num_edges()
       << " edges\n";
@@ -69,6 +51,9 @@ Graph read_edge_list(std::istream& in, NodeId num_nodes) {
     }
     SRSR_CHECK(u < kInvalidNode && v < kInvalidNode, "read_edge_list: line ",
                lineno, ": id too large");
+    SRSR_CHECK(num_nodes == 0 || (u < num_nodes && v < num_nodes),
+               "read_edge_list: line ", lineno, ": node id out of range (",
+               num_nodes, " nodes)");
     edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
     max_id = std::max({max_id, static_cast<NodeId>(u), static_cast<NodeId>(v)});
     any = true;
@@ -85,44 +70,6 @@ Graph read_edge_list_file(const std::string& path, NodeId num_nodes) {
   std::ifstream in(path);
   SRSR_CHECK(in.good(), "read_edge_list_file: cannot open ", path);
   return read_edge_list(in, num_nodes);
-}
-
-void write_binary(const std::string& path, const Graph& g) {
-  obs::StageTimer stage("graph.io.write_binary");
-  std::ofstream out(path, std::ios::binary);
-  SRSR_CHECK(out.good(), "write_binary: cannot open ", path);
-  out.write(kMagic, sizeof(kMagic));
-  write_pod(out, kVersion);
-  write_pod(out, static_cast<u64>(g.num_nodes()));
-  write_pod(out, g.num_edges());
-  out.write(reinterpret_cast<const char*>(g.offsets().data()),
-            static_cast<std::streamsize>(g.offsets().size() * sizeof(u64)));
-  out.write(reinterpret_cast<const char*>(g.targets().data()),
-            static_cast<std::streamsize>(g.targets().size() * sizeof(NodeId)));
-  SRSR_CHECK(out.good(), "write_binary: write failed for ", path);
-}
-
-Graph read_binary(const std::string& path) {
-  obs::StageTimer stage("graph.io.read_binary");
-  std::ifstream in(path, std::ios::binary);
-  SRSR_CHECK(in.good(), "read_binary: cannot open ", path);
-  char magic[8];
-  in.read(magic, sizeof(magic));
-  SRSR_CHECK(in.good() && std::equal(magic, magic + 8, kMagic),
-             "read_binary: bad magic in ", path);
-  const u32 version = read_pod<u32>(in);
-  SRSR_CHECK(version == kVersion, "read_binary: unsupported version");
-  const u64 n = read_pod<u64>(in);
-  const u64 m = read_pod<u64>(in);
-  SRSR_CHECK(n < kInvalidNode, "read_binary: node count too large");
-  std::vector<u64> offsets(n + 1);
-  in.read(reinterpret_cast<char*>(offsets.data()),
-          static_cast<std::streamsize>(offsets.size() * sizeof(u64)));
-  std::vector<NodeId> targets(m);
-  in.read(reinterpret_cast<char*>(targets.data()),
-          static_cast<std::streamsize>(targets.size() * sizeof(NodeId)));
-  SRSR_CHECK(in.good(), "read_binary: truncated file ", path);
-  return Graph(std::move(offsets), std::move(targets));
 }
 
 WebCorpus read_url_corpus(std::istream& pages, std::istream& edges) {

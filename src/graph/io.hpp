@@ -1,13 +1,11 @@
 // Graph and corpus (de)serialization.
 //
-// Three formats:
+// Two formats:
 //   1. Text edge list: one "u v" pair per line, '#' comments — the
 //      lingua franca of public graph datasets (SNAP, WebGraph ASCII
 //      exports), so real crawls can be dropped in for the synthetic
 //      corpus.
-//   2. Binary CSR: a little-endian dump of the offset/target arrays
-//      with a magic header; mmap-friendly and loss-free.
-//   3. URL corpus: a page file ("<id> <url>" per line) plus an edge
+//   2. URL corpus: a page file ("<id> <url>" per line) plus an edge
 //      list; pages are grouped into sources by URL host, which is
 //      exactly the paper's source-assignment procedure (Sec. 6.1).
 #pragma once
@@ -27,14 +25,10 @@ void write_edge_list_file(const std::string& path, const Graph& g);
 
 /// Reads an edge list; node count is max id + 1 unless `num_nodes`
 /// overrides it (0 = infer). Lines starting with '#' are skipped.
-/// Malformed lines throw srsr::Error with the offending line number.
+/// Malformed lines, and ids >= a given `num_nodes`, throw srsr::Error
+/// with the offending line number.
 Graph read_edge_list(std::istream& in, NodeId num_nodes = 0);
 Graph read_edge_list_file(const std::string& path, NodeId num_nodes = 0);
-
-/// Binary CSR dump (magic "SRSRGRPH", version, node/edge counts,
-/// offsets, targets). Round-trips exactly.
-void write_binary(const std::string& path, const Graph& g);
-Graph read_binary(const std::string& path);
 
 /// Builds a WebCorpus from a URL table and a page-level edge list.
 /// `pages` lines: "<page-id> <url>"; ids must be dense 0..n-1 (any

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <unistd.h>
 #include <filesystem>
 #include <sstream>
@@ -79,6 +77,10 @@ TEST(EdgeListIo, BadIdNamesItsLine) {
     const std::string what = error_of([&] { read_edge_list(ss); });
     EXPECT_NE(what.find("line 3"), std::string::npos) << text << ": " << what;
   }
+  // With the node count given, an id past it is the line's fault too.
+  std::stringstream ss("0 1\n0 2\n1 5\n");
+  const std::string what = error_of([&] { read_edge_list(ss, 3); });
+  EXPECT_NE(what.find("line 3"), std::string::npos) << what;
 }
 
 TEST(EdgeListIo, EmptyInputIsEmptyGraph) {
@@ -103,39 +105,6 @@ TEST(EdgeListIo, FileRoundTrip) {
 
 TEST(EdgeListIo, MissingFileThrows) {
   EXPECT_THROW(read_edge_list_file("/nonexistent/nowhere.txt"), Error);
-}
-
-TEST(BinaryIo, RoundTripsExactly) {
-  Pcg32 rng(23);
-  const Graph g = erdos_renyi(100, 0.05, rng);
-  TempPath tmp("bin");
-  write_binary(tmp.str(), g);
-  EXPECT_EQ(read_binary(tmp.str()), g);
-}
-
-TEST(BinaryIo, RoundTripsEmptyGraph) {
-  TempPath tmp("binempty");
-  write_binary(tmp.str(), Graph());
-  EXPECT_EQ(read_binary(tmp.str()), Graph());
-}
-
-TEST(BinaryIo, RejectsBadMagic) {
-  TempPath tmp("badmagic");
-  {
-    std::ofstream out(tmp.str(), std::ios::binary);
-    out << "NOTAGRAPH-FILE";
-  }
-  EXPECT_THROW(read_binary(tmp.str()), Error);
-}
-
-TEST(BinaryIo, RejectsTruncatedFile) {
-  Pcg32 rng(24);
-  const Graph g = erdos_renyi(50, 0.1, rng);
-  TempPath tmp("trunc");
-  write_binary(tmp.str(), g);
-  const auto size = std::filesystem::file_size(tmp.str());
-  std::filesystem::resize_file(tmp.str(), size / 2);
-  EXPECT_THROW(read_binary(tmp.str()), Error);
 }
 
 TEST(UrlCorpus, GroupsPagesByHost) {
@@ -188,6 +157,13 @@ TEST(UrlCorpus, BadIdNamesItsLine) {
   {
     std::stringstream pages("0 http://a.example/\n1 http://b.example/\n");
     std::stringstream edges("0 1\n1 +0\n");
+    const std::string what =
+        error_of([&] { read_url_corpus(pages, edges); });
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+  }
+  {
+    std::stringstream pages("0 http://a.example/\n1 http://b.example/\n");
+    std::stringstream edges("0 1\n1 7\n");
     const std::string what =
         error_of([&] { read_url_corpus(pages, edges); });
     EXPECT_NE(what.find("line 2"), std::string::npos) << what;
