@@ -38,6 +38,27 @@ echo "$SERVE_OUT" | grep -qE "last_path (delta|full|fallback), last_pushes [1-9]
   || { echo "ci: serve stats missing the recompute's push footprint" >&2; exit 1; }
 echo "$SERVE_OUT" | grep -q "^bye$" \
   || { echo "ci: serve did not shut down cleanly" >&2; exit 1; }
+# The crawl reader must not care how edges.txt is laid out: a copy whose
+# edge lines are shuffled (fixed seed) and CRLF-terminated serves the
+# same ranking as the original.
+SHUF_DIR="$SERVE_DIR/shuffled"
+mkdir -p "$SHUF_DIR"
+cp "$SERVE_DIR/pages.txt" "$SERVE_DIR/labels.txt" "$SHUF_DIR/"
+python3 - "$SERVE_DIR/edges.txt" "$SHUF_DIR/edges.txt" <<'PY'
+import random, sys
+lines = open(sys.argv[1]).read().splitlines()
+random.Random(20070326).shuffle(lines)
+open(sys.argv[2], "w", newline="").write("".join(l + "\r\n" for l in lines))
+PY
+HOST=$(head -n 1 "$SERVE_DIR/pages.txt" | sed -E 's#^[0-9]+ [a-z]+://([^/:]+).*#\1#')
+QUERIES=$(printf 'top 5\nrank %s\nscore %s\nquit\n' "$HOST" "$HOST")
+ORIG_OUT=$(echo "$QUERIES" | ./build/tools/srsr_cli serve --in "$SERVE_DIR")
+SHUF_OUT=$(echo "$QUERIES" | ./build/tools/srsr_cli serve --in "$SHUF_DIR")
+echo "$SHUF_OUT"
+echo "$ORIG_OUT" | grep -qE "^$HOST rank [0-9]+ of 200$" \
+  || { echo "ci: serve rank query malformed" >&2; exit 1; }
+[ "$ORIG_OUT" = "$SHUF_OUT" ] \
+  || { echo "ci: shuffled CRLF edges.txt served a different ranking" >&2; exit 1; }
 
 stage "dynamic serve end-to-end (srsr_cli serve --dynamic)"
 # The stream subsystem driven exactly as a deployment would: stage

@@ -1,5 +1,6 @@
 #include "util/strings.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -33,9 +34,15 @@ std::string_view trim(std::string_view s) {
 }
 
 std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  std::string out;
+  to_lower_into(out, s);
   return out;
+}
+
+void to_lower_into(std::string& out, std::string_view s) {
+  out.assign(s);
+  for (char& c : out)
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) noexcept {
@@ -62,20 +69,33 @@ f64 parse_f64(std::string_view s) {
   return out;
 }
 
-std::string host_of(std::string_view url) {
+std::string_view url_host(std::string_view url) noexcept {
   std::string_view rest = trim(url);
-  SRSR_CHECK(!rest.empty(), "host_of: empty URL");
   // Strip a scheme if present ("http://", "https://", "ftp://", ...).
   const std::size_t scheme = rest.find("://");
   if (scheme != std::string_view::npos) rest = rest.substr(scheme + 3);
-  // Host ends at the first path / query / fragment delimiter.
-  const std::size_t end = rest.find_first_of("/?#");
-  std::string_view host = (end == std::string_view::npos) ? rest : rest.substr(0, end);
-  // Drop userinfo and port.
-  const std::size_t at = host.rfind('@');
-  if (at != std::string_view::npos) host = host.substr(at + 1);
-  const std::size_t colon = host.find(':');
-  if (colon != std::string_view::npos) host = host.substr(0, colon);
+  // One pass: the host ends at the first path / query / fragment
+  // delimiter, after the last '@' (userinfo) and before the first ':'
+  // that follows it (port).
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  std::size_t colon = std::string_view::npos;
+  for (; end < rest.size(); ++end) {
+    const char c = rest[end];
+    if (c == '/' || c == '?' || c == '#') break;
+    if (c == '@') {
+      begin = end + 1;
+      colon = std::string_view::npos;
+    } else if (c == ':' && colon == std::string_view::npos) {
+      colon = end;
+    }
+  }
+  return rest.substr(begin, std::min(end, colon) - begin);
+}
+
+std::string host_of(std::string_view url) {
+  SRSR_CHECK(!trim(url).empty(), "host_of: empty URL");
+  const std::string_view host = url_host(url);
   SRSR_CHECK(!host.empty(), "host_of: no host in URL '", url, "'");
   return to_lower(host);
 }

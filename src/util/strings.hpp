@@ -21,6 +21,10 @@ std::string_view trim(std::string_view s);
 /// ASCII lower-casing (URLs / hostnames only; no locale).
 std::string to_lower(std::string_view s);
 
+/// to_lower into `out`, reusing its capacity (no allocation once `out`
+/// is as long as the longest input).
+void to_lower_into(std::string& out, std::string_view s);
+
 bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 
 /// Parses a non-negative integer: ASCII digits only, no sign or
@@ -35,6 +39,12 @@ u64 parse_u64(std::string_view s);
 /// must fail loudly, not fall through as 0.0 or raise a bare
 /// std::invalid_argument with no context.
 f64 parse_f64(std::string_view s);
+
+/// The host component of a URL as it appears there (not lower-cased),
+/// or an empty view when the URL has none. Never throws and never
+/// allocates: the crawl reader looks hosts up through it. host_of is its
+/// checked, lower-cased form.
+std::string_view url_host(std::string_view url) noexcept;
 
 /// Extracts the host component of a URL, lower-cased:
 ///   "HTTP://WWW.Example.com:8080/a/b?q" -> "www.example.com"

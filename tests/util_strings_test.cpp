@@ -46,6 +46,14 @@ TEST(ToLower, AsciiOnly) {
   EXPECT_EQ(to_lower("already lower 123"), "already lower 123");
 }
 
+TEST(ToLower, IntoReusesTheBuffer) {
+  std::string out = "leftover text that is longer";
+  to_lower_into(out, "A.Example");
+  EXPECT_EQ(out, "a.example");
+  to_lower_into(out, "\xC4Z");  // bytes past ASCII are left alone
+  EXPECT_EQ(out, "\xC4z");
+}
+
 TEST(StartsWith, Basics) {
   EXPECT_TRUE(starts_with("http://x", "http://"));
   EXPECT_FALSE(starts_with("htt", "http"));
@@ -101,6 +109,15 @@ TEST(HostOf, RejectsHostlessInput) {
   EXPECT_THROW(host_of(""), Error);
   EXPECT_THROW(host_of("   "), Error);
   EXPECT_THROW(host_of("http:///path-only"), Error);
+}
+
+TEST(UrlHost, ViewAsSpelledOrEmpty) {
+  EXPECT_EQ(url_host(" HTTP://u:p@WWW.Example.com:8080/a@b:c?q#f "),
+            "WWW.Example.com");
+  EXPECT_EQ(url_host("x@y@host.example"), "host.example");
+  EXPECT_EQ(url_host(""), "");
+  EXPECT_EQ(url_host("http:///path-only"), "");
+  EXPECT_EQ(url_host("user@:80/x"), "");
 }
 
 TEST(WithCommas, GroupsDigits) {
