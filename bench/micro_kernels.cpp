@@ -26,7 +26,6 @@
 #include "rank/pagerank.hpp"
 #include "rank/push.hpp"
 #include "rank/solvers.hpp"
-#include "search/engine.hpp"
 
 // Allocation counter for the kappa-sweep benchmarks: every operator new
 // in the process is tallied so a benchmark can assert (via counters in
@@ -332,44 +331,6 @@ void BM_GaussSeidelSourceMatrix(benchmark::State& state) {
   state.counters["iterations"] = iters;
 }
 BENCHMARK(BM_GaussSeidelSourceMatrix)->Unit(benchmark::kMillisecond);
-
-graph::WebCorpus& term_corpus() {
-  static graph::WebCorpus corpus = [] {
-    graph::WebGenConfig cfg;
-    cfg.num_sources = 2000;
-    cfg.generate_terms = true;
-    cfg.seed = 777;
-    return graph::generate_web_corpus(cfg);
-  }();
-  return corpus;
-}
-
-void BM_InvertedIndexBuild(benchmark::State& state) {
-  const auto& corpus = term_corpus();
-  for (auto _ : state) {
-    const search::InvertedIndex idx(corpus.page_terms, corpus.vocab_size);
-    benchmark::DoNotOptimize(idx.num_postings());
-  }
-}
-BENCHMARK(BM_InvertedIndexBuild)->Unit(benchmark::kMillisecond);
-
-void BM_SearchQueryTop10(benchmark::State& state) {
-  const auto& corpus = term_corpus();
-  static const search::InvertedIndex idx(corpus.page_terms,
-                                         corpus.vocab_size);
-  const auto pr = rank::pagerank(corpus.pages);
-  search::EngineConfig blend;
-  blend.authority_weight = 0.5;
-  const search::SearchEngine engine(idx, pr.scores, blend);
-  const u32 background = 20000 / 20;
-  u32 term = background;
-  for (auto _ : state) {
-    const auto hits = engine.query({term, term + 5}, 10);
-    benchmark::DoNotOptimize(hits.data());
-    term = background + (term + 379) % 18000;  // vary the query
-  }
-}
-BENCHMARK(BM_SearchQueryTop10)->Unit(benchmark::kMicrosecond);
 
 void BM_SccDecomposition(benchmark::State& state) {
   const auto& corpus = corpus_of(4000);

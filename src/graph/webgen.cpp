@@ -204,61 +204,6 @@ WebCorpus generate_web_corpus(const WebGenConfig& cfg) {
 
   corpus.pages = builder.build();
 
-  // --- 7. Optional page content (the search substrate's input).
-  if (cfg.generate_terms) {
-    SRSR_CHECK(cfg.num_topics >= 1, "webgen: need at least one topic");
-    SRSR_CHECK(cfg.vocab_size >= 20 * cfg.num_topics,
-               "webgen: vocabulary too small for the topic partition");
-    corpus.vocab_size = cfg.vocab_size;
-    const u32 background = cfg.vocab_size / 20;
-    const u32 topic_span = (cfg.vocab_size - background) / cfg.num_topics;
-
-    corpus.source_topic.resize(ns);
-    for (u32 s = 0; s < ns; ++s)
-      corpus.source_topic[s] = rng.next_below(cfg.num_topics);
-
-    // Zipf samplers: term popularity inside the background vocabulary
-    // and inside each topic slice (shared shape).
-    ZipfSampler background_dist(background, 1.1);
-    ZipfSampler topic_dist(topic_span, 1.1);
-    constexpr f64 kLenSigma = 0.6;
-    const f64 len_mu =
-        std::log(cfg.terms_per_page_mean) - 0.5 * kLenSigma * kLenSigma;
-
-    corpus.page_terms.resize(np);
-    for (NodeId p = 0; p < np; ++p) {
-      const u32 topic = corpus.source_topic[corpus.page_source[p]];
-      const u32 topic_base = background + topic * topic_span;
-      const f64 gauss = std::sqrt(-2.0 * std::log(1.0 - rng.next_real())) *
-                        std::cos(6.283185307179586 * rng.next_real());
-      const u32 len = std::max<u32>(
-          3, static_cast<u32>(std::lround(
-                 std::exp(len_mu + kLenSigma * gauss))));
-      auto& terms = corpus.page_terms[p];
-      terms.reserve(len + cfg.stuffed_terms);
-      for (u32 i = 0; i < len; ++i) {
-        if (rng.next_bool(cfg.topic_term_fraction)) {
-          terms.push_back(topic_base + topic_dist.sample(rng) - 1);
-        } else {
-          terms.push_back(background_dist.sample(rng) - 1);
-        }
-      }
-      // Keyword stuffing: a spam page picks a few target topics and
-      // repeats each topic's head term many times — raw tf is how real
-      // stuffers game lexical rankers (BM25's saturation blunts but
-      // does not remove the payoff).
-      if (corpus.source_is_spam[corpus.page_source[p]]) {
-        const u32 targets = std::min<u32>(3, cfg.num_topics);
-        const u32 reps = targets > 0 ? cfg.stuffed_terms / targets : 0;
-        for (u32 t = 0; t < targets; ++t) {
-          const u32 topic_id = rng.next_below(cfg.num_topics);
-          const u32 head_term = background + topic_id * topic_span;
-          for (u32 i = 0; i < reps; ++i) terms.push_back(head_term);
-        }
-      }
-    }
-  }
-
   log_debug("webgen: ", ns, " sources, ", np, " pages, ",
             corpus.pages.num_edges(), " edges");
   return corpus;

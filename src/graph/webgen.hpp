@@ -71,24 +71,6 @@ struct WebGenConfig {
   /// spam cluster.
   f64 hijack_rate = 0.003;
 
-  // --- Optional page-content generation (for the search substrate).
-  /// When true, each page gets a synthetic term list: sources carry a
-  /// topic; pages mix topic terms with background vocabulary; spam
-  /// pages additionally STUFF popular terms from many topics — the
-  /// classic keyword-stuffing play that makes them match many queries.
-  bool generate_terms = false;
-  /// Vocabulary size. Terms [0, vocab_size/20) are background words;
-  /// the rest is partitioned evenly among topics.
-  u32 vocab_size = 20000;
-  u32 num_topics = 50;
-  /// Mean page length in terms (log-normal spread).
-  f64 terms_per_page_mean = 40.0;
-  /// Fraction of a page's terms drawn from its source's topic (the
-  /// rest is background vocabulary).
-  f64 topic_term_fraction = 0.7;
-  /// Popular terms stuffed into every spam page.
-  u32 stuffed_terms = 30;
-
   u64 seed = 42;
 };
 
@@ -106,12 +88,6 @@ struct WebCorpus {
   std::vector<u32> source_page_count;
   /// source id -> first page id (pages of a source are contiguous).
   std::vector<NodeId> source_first_page;
-  /// page id -> term ids (empty unless the config enabled terms).
-  std::vector<std::vector<u32>> page_terms;
-  /// source id -> topic id (empty unless the config enabled terms).
-  std::vector<u32> source_topic;
-  /// Vocabulary size the terms were drawn from (0 when disabled).
-  u32 vocab_size = 0;
 
   u32 num_sources() const { return static_cast<u32>(source_page_count.size()); }
   NodeId num_pages() const { return pages.num_nodes(); }

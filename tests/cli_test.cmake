@@ -19,8 +19,8 @@ function(run_cli)
   set(CLI_OUTPUT "${out}" PARENT_SCOPE)
 endfunction()
 
-run_cli(generate --out "${DIR}" --sources 150 --spam 8 --seed 3 --terms)
-foreach(f pages.txt edges.txt labels.txt terms.txt)
+run_cli(generate --out "${DIR}" --sources 150 --spam 8 --seed 3)
+foreach(f pages.txt edges.txt labels.txt)
   if(NOT EXISTS "${DIR}/${f}")
     message(FATAL_ERROR "generate did not write ${f}")
   endif()
@@ -257,6 +257,22 @@ foreach(bad "--shards;4" "--alhpa;0.5")
     message(FATAL_ERROR "rank ${bad} should report the unknown option:\n${err}")
   endif()
 endforeach()
+
+# generate lost its --terms flag (page content for a removed search
+# substrate): asking for it must fail by name and write nothing.
+set(TERMS_DIR "${DIR}/terms_crawl")
+execute_process(COMMAND "${CLI}" generate --out "${TERMS_DIR}" --sources 20
+                        --terms
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(rc EQUAL 0)
+  message(FATAL_ERROR "generate --terms should fail")
+endif()
+if(NOT err MATCHES "unknown option --terms")
+  message(FATAL_ERROR "generate --terms should report the unknown option:\n${err}")
+endif()
+if(EXISTS "${TERMS_DIR}")
+  message(FATAL_ERROR "generate --terms should not write ${TERMS_DIR}")
+endif()
 
 file(REMOVE_RECURSE "${DIR}")
 message(STATUS "cli_test OK")

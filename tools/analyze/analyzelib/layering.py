@@ -23,7 +23,6 @@ ALLOWED: dict[str, list[str]] = {
     "metrics": ["util", "obs"],
     "graph": ["util", "obs"],
     "spam": ["util", "obs", "graph"],
-    "search": ["util", "obs", "graph"],
     "analysis": ["util", "obs", "metrics"],
     "rank": ["util", "obs", "metrics", "graph"],
     "core": ["util", "obs", "metrics", "graph", "spam", "rank", "analysis"],

@@ -1,9 +1,9 @@
 // srsr — command-line driver for the Spam-Resilient SourceRank library.
 //
 // Subcommands:
-//   generate  --sources N [--spam N] [--seed S] [--terms] --out DIR
+//   generate  --sources N [--spam N] [--seed S] --out DIR
 //             Write a synthetic crawl as pages.txt / edges.txt /
-//             labels.txt (+ terms.txt with --terms).
+//             labels.txt.
 //   rank      --in DIR [--algo pagerank|sourcerank|srsr] [--top K]
 //             [--alpha A] [--topk K] [--trace FILE] [--trace-out FILE]
 //             Rank a crawl directory and print the top-K sources.
@@ -175,7 +175,6 @@ int cmd_generate(const Args& args) {
   cfg.num_sources = static_cast<u32>(args.get_u64("sources", 1000));
   cfg.num_spam_sources = static_cast<u32>(args.get_u64("spam", cfg.num_sources / 50));
   cfg.seed = args.get_u64("seed", 42);
-  cfg.generate_terms = args.has("terms");
   const auto corpus = graph::generate_web_corpus(cfg);
 
   namespace fs = std::filesystem;
@@ -192,14 +191,6 @@ int cmd_generate(const Args& args) {
     std::ofstream labels(dir / "labels.txt");
     for (const NodeId s : corpus.spam_sources())
       labels << corpus.source_hosts[s] << '\n';
-  }
-  if (cfg.generate_terms) {
-    std::ofstream terms(dir / "terms.txt");
-    for (NodeId p = 0; p < corpus.num_pages(); ++p) {
-      terms << p;
-      for (const u32 t : corpus.page_terms[p]) terms << ' ' << t;
-      terms << '\n';
-    }
   }
   std::cout << "wrote " << corpus.num_pages() << " pages / "
             << corpus.pages.num_edges() << " links / "
@@ -856,7 +847,7 @@ void usage() {
       "srsr — Spam-Resilient SourceRank toolkit\n"
       "usage: srsr_cli <command> [options]\n\n"
       "commands:\n"
-      "  generate --out DIR [--sources N] [--spam N] [--seed S] [--terms]\n"
+      "  generate --out DIR [--sources N] [--spam N] [--seed S]\n"
       "  rank     --in DIR [--algo pagerank|sourcerank|srsr] [--top K]\n"
       "           [--alpha A] [--topk K] [--trace FILE] [--trace-out FILE]\n"
       "  audit    --in DIR [--topk K]     (needs labels.txt)\n"
@@ -890,7 +881,7 @@ struct Command {
 
 const std::vector<Command>& commands() {
   static const std::vector<Command> table = {
-      {"generate", cmd_generate, {"out", "sources", "spam", "seed", "terms"}},
+      {"generate", cmd_generate, {"out", "sources", "spam", "seed"}},
       {"rank", cmd_rank,
        {"in", "algo", "top", "alpha", "topk", "trace", "trace-out"}},
       {"audit", cmd_audit, {"in", "topk"}},
