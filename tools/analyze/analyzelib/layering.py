@@ -25,7 +25,7 @@ ALLOWED: dict[str, list[str]] = {
     "spam": ["util", "obs", "graph"],
     "analysis": ["util", "obs", "metrics"],
     "rank": ["util", "obs", "metrics", "graph"],
-    "core": ["util", "obs", "metrics", "graph", "spam", "rank", "analysis"],
+    "core": ["util", "obs", "graph", "rank"],
     "stream": ["util", "obs", "metrics", "graph", "rank", "core"],
     "serve": ["util", "obs", "metrics", "graph", "rank", "core", "stream"],
 }
