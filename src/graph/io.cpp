@@ -89,11 +89,8 @@ std::pair<NodeId, NodeId> validate_edge_line(std::string_view line,
   } catch (const Error& e) {
     SRSR_CHECK(false, "read_edge_list: line ", lineno, ": ", e.what());
   }
-  SRSR_CHECK(u < kInvalidNode && v < kInvalidNode, "read_edge_list: line ",
-             lineno, ": id too large");
-  SRSR_CHECK(num_nodes == 0 || (u < num_nodes && v < num_nodes),
-             "read_edge_list: line ", lineno, ": node id out of range (",
-             num_nodes, " nodes)");
+  SRSR_CHECK(u < num_nodes && v < num_nodes, "read_edge_list: line ", lineno,
+             ": node id out of range (", num_nodes, " nodes)");
   return {static_cast<NodeId>(u), static_cast<NodeId>(v)};
 }
 
@@ -119,17 +116,15 @@ const char* scan_id(const char* p, const char* end, NodeId limit, NodeId& id) {
 }
 
 /// Fast scan of a raw edge line: "<digits>[ \t]+<digits>" and trailing
-/// whitespace (a CRLF file's '\r'), both ids valid for `num_nodes` (0 =
-/// any id below kInvalidNode). False for anything else — comments,
-/// blanks and leading whitespace included — which the reader then trims
-/// and hands to validate_edge_line.
+/// whitespace (a CRLF file's '\r'), both ids below `num_nodes`. False
+/// for anything else — comments, blanks and leading whitespace included
+/// — which the reader then trims and hands to validate_edge_line.
 bool scan_edge(std::string_view line, NodeId num_nodes, NodeId& u, NodeId& v) {
   const char* const end = line.data() + line.size();
-  const NodeId limit = num_nodes != 0 ? num_nodes : kInvalidNode;
-  const char* p = scan_id(line.data(), end, limit, u);
+  const char* p = scan_id(line.data(), end, num_nodes, u);
   if (p == nullptr || p == end || !is_blank(*p)) return false;
   while (p != end && is_blank(*p)) ++p;
-  p = scan_id(p, end, limit, v);
+  p = scan_id(p, end, num_nodes, v);
   return p != nullptr && only_space(p, end);
 }
 
@@ -243,7 +238,6 @@ Graph read_edge_list(std::istream& in, NodeId num_nodes) {
   // Targets stay in file order; one run marks each change of source.
   std::vector<NodeId> targets;
   std::vector<Run> runs;
-  NodeId max_id = 0;
   LineReader lines(in);
   std::string_view line;
   while (lines.next(line)) {
@@ -259,11 +253,9 @@ Graph read_edge_list(std::istream& in, NodeId num_nodes) {
       runs.push_back({u, 0});
     ++runs.back().length;
     targets.push_back(v);
-    max_id = std::max({max_id, u, v});
   }
-  const NodeId n = num_nodes != 0 ? num_nodes : (runs.empty() ? 0 : max_id + 1);
 
-  std::vector<u64> offsets(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<u64> offsets(static_cast<std::size_t>(num_nodes) + 1, 0);
   bool ascending = true;
   for (std::size_t i = 0; i < runs.size(); ++i) {
     offsets[runs[i].source + 1] += runs[i].length;

@@ -44,13 +44,12 @@ namespace srsr::graph {
 void write_edge_list(std::ostream& out, const Graph& g);
 void write_edge_list_file(const std::string& path, const Graph& g);
 
-/// Reads an edge list in any line order; node count is max id + 1
-/// unless `num_nodes` overrides it (0 = infer). Lines starting with '#'
-/// are skipped, surrounding whitespace ('\r' included) is ignored, and
-/// repeated links collapse. Malformed lines, and ids >= a given
+/// Reads an edge list over `num_nodes` nodes in any line order. Lines
+/// starting with '#' are skipped, surrounding whitespace ('\r' included)
+/// is ignored, and repeated links collapse. Malformed lines, and ids >=
 /// `num_nodes`, throw srsr::Error with the offending line number.
-Graph read_edge_list(std::istream& in, NodeId num_nodes = 0);
-Graph read_edge_list_file(const std::string& path, NodeId num_nodes = 0);
+Graph read_edge_list(std::istream& in, NodeId num_nodes);
+Graph read_edge_list_file(const std::string& path, NodeId num_nodes);
 
 /// Builds a WebCorpus from a URL table and a page-level edge list.
 /// `pages` lines: "<page-id> <url>"; ids must be dense 0..n-1 (any

@@ -72,8 +72,13 @@ f64 parse_f64(std::string_view s) {
 std::string_view url_host(std::string_view url) noexcept {
   std::string_view rest = trim(url);
   // Strip a scheme if present ("http://", "https://", "ftp://", ...).
-  const std::size_t scheme = rest.find("://");
-  if (scheme != std::string_view::npos) rest = rest.substr(scheme + 3);
+  // A scheme's "://" comes before any path, query or fragment, so its
+  // '/' is the first of "/?#": a "://" later on ("a.example/r?u=http://b")
+  // belongs to the path or query, not to a scheme.
+  const std::size_t delim = rest.find_first_of("/?#");
+  if (delim != std::string_view::npos && delim > 0 &&
+      rest.substr(delim - 1, 3) == "://")
+    rest = rest.substr(delim + 2);
   // One pass: the host ends at the first path / query / fragment
   // delimiter, after the last '@' (userinfo) and before the first ':'
   // that follows it (port).

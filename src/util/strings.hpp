@@ -49,6 +49,9 @@ std::string_view url_host(std::string_view url) noexcept;
 /// Extracts the host component of a URL, lower-cased:
 ///   "HTTP://WWW.Example.com:8080/a/b?q" -> "www.example.com"
 ///   "example.org/page"                  -> "example.org"
+///   "a.example/r?u=http://b.example/"   -> "a.example"
+/// A "://" is a scheme's only when it comes before the first '/', '?'
+/// or '#'.
 /// This is the paper's source-assignment function (Sec. 6.1: "we
 /// extracted the host information for each page URL and assigned pages
 /// to sources based on this host information"). Throws on strings with

@@ -28,12 +28,15 @@ namespace {
 // ---- the reference reader ----------------------------------------------
 
 /// host_of as the line reader had it: find_first_of / rfind on the view,
-/// then std::tolower.
+/// then std::tolower. A "://" strips a scheme only when it comes before
+/// the first '/', '?' or '#'; the line reader took the first one
+/// anywhere, which filed "a.example/r?u=http://b.example/" under b.example.
 std::optional<std::string> reference_host(std::string_view url) {
   std::string_view rest = trim(url);
   if (rest.empty()) return std::nullopt;
   const std::size_t scheme = rest.find("://");
-  if (scheme != std::string_view::npos) rest = rest.substr(scheme + 3);
+  if (scheme != std::string_view::npos && scheme < rest.find_first_of("/?#"))
+    rest = rest.substr(scheme + 3);
   const std::size_t end = rest.find_first_of("/?#");
   std::string_view host =
       end == std::string_view::npos ? rest : rest.substr(0, end);

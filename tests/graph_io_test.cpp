@@ -38,27 +38,19 @@ TEST(EdgeListIo, RoundTripsThroughStream) {
   EXPECT_EQ(read_edge_list(ss, g.num_nodes()), g);
 }
 
-TEST(EdgeListIo, InfersNodeCountFromMaxId) {
-  std::stringstream ss("0 3\n2 1\n");
-  const Graph g = read_edge_list(ss);
-  EXPECT_EQ(g.num_nodes(), 4u);
-  EXPECT_TRUE(g.has_edge(0, 3));
-  EXPECT_TRUE(g.has_edge(2, 1));
-}
-
 TEST(EdgeListIo, SkipsCommentsAndBlankLines) {
   std::stringstream ss("# a comment\n\n0 1\n   \n# more\n1 0\n");
-  const Graph g = read_edge_list(ss);
+  const Graph g = read_edge_list(ss, 2);
   EXPECT_EQ(g.num_edges(), 2u);
 }
 
 TEST(EdgeListIo, RejectsMalformedLines) {
   std::stringstream one_token("0\n");
-  EXPECT_THROW(read_edge_list(one_token), Error);
+  EXPECT_THROW(read_edge_list(one_token, 3), Error);
   std::stringstream three_tokens("0 1 2\n");
-  EXPECT_THROW(read_edge_list(three_tokens), Error);
+  EXPECT_THROW(read_edge_list(three_tokens, 3), Error);
   std::stringstream garbage("a b\n");
-  EXPECT_THROW(read_edge_list(garbage), Error);
+  EXPECT_THROW(read_edge_list(garbage, 3), Error);
 }
 
 /// The what() of the Error `read` throws ("" when it does not throw).
@@ -76,18 +68,22 @@ TEST(EdgeListIo, BadIdNamesItsLine) {
   for (const char* text : {"0 1\n# c\n2 x\n", "0 1\n\n-2 0\n",
                            "0 1\n0 2\n99999999999999999999 0\n"}) {
     std::stringstream ss(text);
-    const std::string what = error_of([&] { read_edge_list(ss); });
+    const std::string what = error_of([&] { read_edge_list(ss, 3); });
     EXPECT_NE(what.find("line 3"), std::string::npos) << text << ": " << what;
   }
-  // With the node count given, an id past it is the line's fault too.
+  // An id past the node count is the line's fault too.
   std::stringstream ss("0 1\n0 2\n1 5\n");
   const std::string what = error_of([&] { read_edge_list(ss, 3); });
   EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+  // A huge id fails on its line before anything is sized by it.
+  std::stringstream huge("4000000000 0\n");
+  const std::string huge_what = error_of([&] { read_edge_list(huge, 10); });
+  EXPECT_NE(huge_what.find("line 1"), std::string::npos) << huge_what;
 }
 
 TEST(EdgeListIo, EmptyInputIsEmptyGraph) {
   std::stringstream ss("# nothing\n");
-  const Graph g = read_edge_list(ss);
+  const Graph g = read_edge_list(ss, 0);
   EXPECT_EQ(g.num_nodes(), 0u);
 }
 
@@ -106,7 +102,7 @@ TEST(EdgeListIo, FileRoundTrip) {
 }
 
 TEST(EdgeListIo, MissingFileThrows) {
-  EXPECT_THROW(read_edge_list_file("/nonexistent/nowhere.txt"), Error);
+  EXPECT_THROW(read_edge_list_file("/nonexistent/nowhere.txt", 1), Error);
 }
 
 // The crawl readers fill one block of about a MiB at a time. These
@@ -132,7 +128,7 @@ std::vector<std::string> lines_of(const std::string& text) {
   return out;
 }
 
-Graph read_text(const std::string& text, NodeId num_nodes = 0) {
+Graph read_text(const std::string& text, NodeId num_nodes) {
   std::istringstream in(text);
   return read_edge_list(in, num_nodes);
 }
@@ -155,28 +151,27 @@ TEST(EdgeListIo, InputLargerThanBlockRoundTrips) {
   const std::string text = streamed_edge_list(g);
   ASSERT_GT(text.size(), 2 * kBlock);
   EXPECT_EQ(read_text(text, g.num_nodes()), g);
-  EXPECT_EQ(read_text(text), g);
 }
 
 TEST(EdgeListIo, LineLongerThanBlock) {
   const std::string text = "0 1\n# " + std::string(3 * kBlock, 'x') +
                            "\n2" + std::string(2 * kBlock, ' ') + "\t3\n1 2\n";
-  const Graph g = read_text(text);
+  const Graph g = read_text(text, 4);
   EXPECT_EQ(g.num_nodes(), 4u);
   EXPECT_EQ(g.num_edges(), 3u);
   EXPECT_TRUE(g.has_edge(2, 3));
   EXPECT_TRUE(g.has_edge(1, 2));
   const std::string bad = "0 1\n0 2\n" + std::string(2 * kBlock, '7') + " 0\n";
-  const std::string what = error_of([&] { read_text(bad); });
+  const std::string what = error_of([&] { read_text(bad, 4); });
   EXPECT_NE(what.find("line 3:"), std::string::npos) << what.substr(0, 80);
 }
 
 TEST(EdgeListIo, LastLineWithoutNewline) {
-  const Graph g = read_text("0 1\n1 2");
+  const Graph g = read_text("0 1\n1 2", 3);
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_TRUE(g.has_edge(1, 2));
-  EXPECT_EQ(read_text("0 1\n# no newline"), read_text("0 1\n"));
-  const std::string what = error_of([&] { read_text("0 1\n1 x"); });
+  EXPECT_EQ(read_text("0 1\n# no newline", 2), read_text("0 1\n", 2));
+  const std::string what = error_of([&] { read_text("0 1\n1 x", 2); });
   EXPECT_NE(what.find("line 2:"), std::string::npos) << what;
 }
 
@@ -184,23 +179,23 @@ TEST(EdgeListIo, CrlfMatchesLf) {
   const std::string lf = "# header\n0 1\n\n2 0\n  1\t2  \n0 2\n";
   std::string crlf;
   for (const char c : lf) crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
-  EXPECT_EQ(read_text(crlf), read_text(lf));
-  EXPECT_EQ(read_text(crlf).num_edges(), 4u);
-  const std::string what = error_of([&] { read_text("0 1\r\n2 x\r\n"); });
+  EXPECT_EQ(read_text(crlf, 3), read_text(lf, 3));
+  EXPECT_EQ(read_text(crlf, 3).num_edges(), 4u);
+  const std::string what = error_of([&] { read_text("0 1\r\n2 x\r\n", 3); });
   EXPECT_NE(what.find("line 2:"), std::string::npos) << what;
 }
 
 TEST(EdgeListIo, CommentsAndBlanksOnBlockBoundaries) {
   const std::string tail = "\n# c\r\n\r\n0 1\n\n   \n1 0\n# end";
-  const Graph expected = read_text(tail);
+  const Graph expected = read_text(tail, 2);
   ASSERT_EQ(expected.num_edges(), 2u);
   // A filler comment ending a few bytes either side of the block edge
   // puts each of the tail's blank, comment and CRLF lines on it in turn.
   for (std::size_t end = kBlock - 8; end <= kBlock + 8; ++end) {
     const std::string text = "#" + std::string(end - 1, '.') + tail;
-    EXPECT_EQ(read_text(text), expected) << "filler ends at " << end;
+    EXPECT_EQ(read_text(text, 2), expected) << "filler ends at " << end;
     const std::string bad = text + "\n0 x\n";
-    const std::string what = error_of([&] { read_text(bad); });
+    const std::string what = error_of([&] { read_text(bad, 2); });
     EXPECT_NE(what.find("line 9:"), std::string::npos) << end << ": " << what;
   }
 }
@@ -217,12 +212,14 @@ TEST(EdgeListIo, UngroupedMatchesGrouped) {
   for (const std::string& line : lines) text += line + '\n';
   EXPECT_EQ(read_text(text, g.num_nodes()), g);
   // Rows in descending order and rows split in two runs each.
-  EXPECT_EQ(read_text("2 0\n1 2\n0 1\n"), read_text("0 1\n1 2\n2 0\n"));
-  EXPECT_EQ(read_text("0 2\n1 0\n0 1\n1 0\n"), read_text("0 1\n0 2\n1 0\n"));
+  EXPECT_EQ(read_text("2 0\n1 2\n0 1\n", 3), read_text("0 1\n1 2\n2 0\n", 3));
+  EXPECT_EQ(read_text("0 2\n1 0\n0 1\n1 0\n", 3),
+            read_text("0 1\n0 2\n1 0\n", 3));
 }
 
 TEST(EdgeListIo, UngroupedErrorNamesItsLine) {
-  std::string what = error_of([&] { read_text("3 0\n0 1\n3 2\n1 x\n0 2\n"); });
+  std::string what =
+      error_of([&] { read_text("3 0\n0 1\n3 2\n1 x\n0 2\n", 4); });
   EXPECT_NE(what.find("line 4:"), std::string::npos) << what;
   what = error_of([&] { read_text("2 0\n0 1\n\n1 9\n0 2\n", 3); });
   EXPECT_NE(what.find("line 4:"), std::string::npos) << what;

@@ -18,7 +18,7 @@ TEST(Robustness, EdgeListGarbageLinesAllThrow) {
   for (const char* bad : {"1", "a b", "1 2 3", "-1 2", "1 99999999999999999999",
                           "4294967295 0"}) {
     std::stringstream ss(bad);
-    EXPECT_THROW(graph::read_edge_list(ss), Error) << "input: " << bad;
+    EXPECT_THROW(graph::read_edge_list(ss, 3), Error) << "input: " << bad;
   }
 }
 

@@ -99,6 +99,12 @@ TEST(HostOf, QueryAndFragmentStripped) {
 TEST(HostOf, SchemelessUrl) {
   EXPECT_EQ(host_of("example.org/page.html"), "example.org");
   EXPECT_EQ(host_of("example.org"), "example.org");
+  // A "://" after the first '/', '?' or '#' belongs to the path, query
+  // or fragment, not to a scheme.
+  EXPECT_EQ(host_of("a.example/r?u=http://b.example/"), "a.example");
+  EXPECT_EQ(host_of("a.example?u=http://b.example/"), "a.example");
+  EXPECT_EQ(host_of("a.example#http://b.example/"), "a.example");
+  EXPECT_EQ(host_of("http://a.example/r?u=http://b.example/"), "a.example");
 }
 
 TEST(HostOf, SurroundingWhitespaceIgnored) {
@@ -118,6 +124,7 @@ TEST(UrlHost, ViewAsSpelledOrEmpty) {
   EXPECT_EQ(url_host(""), "");
   EXPECT_EQ(url_host("http:///path-only"), "");
   EXPECT_EQ(url_host("user@:80/x"), "");
+  EXPECT_EQ(url_host("?u=http://b.example/"), "");
 }
 
 TEST(WithCommas, GroupsDigits) {
