@@ -45,23 +45,35 @@ SourceGraph::SourceGraph(const graph::Graph& pages, const SourceMap& map)
   pairs.clear();
   pairs.shrink_to_fit();
 
-  // Per-origin sort, then collapse duplicates into consensus counts.
+  // Per-origin sort and distinct count, then collapse duplicates into
+  // consensus counts. The counting pass sizes both arrays exactly: a
+  // model keeps them for its lifetime, and capacity sized at the raw
+  // pair count would hold megabytes never written.
   std::vector<u64> out_offsets(offsets.size(), 0);
-  std::vector<NodeId> out_targets;
-  out_targets.reserve(raw_targets.size());
-  consensus_.reserve(raw_targets.size());
+  for (u32 s = 0; s < ns; ++s) {
+    const auto begin =
+        raw_targets.begin() + static_cast<std::ptrdiff_t>(offsets[s]);
+    const auto end =
+        raw_targets.begin() + static_cast<std::ptrdiff_t>(offsets[s + 1]);
+    std::sort(begin, end);
+    u64 distinct = 0;
+    for (auto it = begin; it != end; ++it)
+      if (it == begin || *it != it[-1]) ++distinct;
+    out_offsets[s + 1] = out_offsets[s] + distinct;
+  }
+  std::vector<NodeId> out_targets(out_offsets[ns]);
+  consensus_.assign(out_offsets[ns], 0);
+  u64 k = 0;
   for (u32 s = 0; s < ns; ++s) {
     const u64 begin = offsets[s], end = offsets[s + 1];
-    std::sort(raw_targets.begin() + static_cast<std::ptrdiff_t>(begin),
-              raw_targets.begin() + static_cast<std::ptrdiff_t>(end));
     for (u64 i = begin; i < end;) {
       u64 j = i;
       while (j < end && raw_targets[j] == raw_targets[i]) ++j;
-      out_targets.push_back(raw_targets[i]);
-      consensus_.push_back(static_cast<u32>(j - i));
+      out_targets[k] = raw_targets[i];
+      consensus_[k] = static_cast<u32>(j - i);
+      ++k;
       i = j;
     }
-    out_offsets[s + 1] = out_targets.size();
   }
   topology_ = graph::Graph(std::move(out_offsets), std::move(out_targets));
 }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "graph/transforms.hpp"
 #include "util/check.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stage_timer.hpp"
@@ -22,15 +21,15 @@ rank::RankResult spam_proximity(const graph::Graph& source_topology,
     obs::MetricsRegistry::instance()
         .counter("srsr.core.spam_proximity.solves")
         .add();
-  // Invert the source graph: a source pointed TO by many sources in the
-  // original graph points to them here, so spam mass flows backwards
-  // along citations — onto the sources that endorse spam.
-  const graph::Graph inverted = graph::reverse(source_topology);
-
-  std::vector<f64> teleport(inverted.num_nodes(), 0.0);
+  // Walk the inverted source graph: a source pointed TO by many sources
+  // in the original graph points to them there, so spam mass flows
+  // backwards along citations — onto the sources that endorse spam.
+  // PageRank::over_reverse pulls over the forward topology directly.
+  const NodeId n = source_topology.num_nodes();
+  std::vector<f64> teleport(n, 0.0);
   for (const NodeId s : spam_seeds) {
-    SRSR_CHECK(s < inverted.num_nodes(), "spam_proximity: seed id ", s,
-               " out of range (", inverted.num_nodes(), " sources)");
+    SRSR_CHECK(s < n, "spam_proximity: seed id ", s, " out of range (", n,
+               " sources)");
     teleport[s] = 1.0;
   }
 
@@ -38,7 +37,7 @@ rank::RankResult spam_proximity(const graph::Graph& source_topology,
   pr.alpha = config.beta;
   pr.convergence = config.convergence;
   pr.teleport = std::move(teleport);
-  return rank::pagerank(inverted, pr);
+  return rank::PageRank::over_reverse(source_topology).solve(pr);
 }
 
 }  // namespace srsr::core

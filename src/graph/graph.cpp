@@ -5,13 +5,17 @@
 
 namespace srsr::graph {
 
-Graph::Graph(std::vector<u64> offsets, std::vector<NodeId> targets)
-    : offsets_(std::move(offsets)), targets_(std::move(targets)) {
-  SRSR_CHECK(!offsets_.empty(), "Graph: offsets must have at least one entry");
-  SRSR_CHECK(offsets_.front() == 0, "Graph: offsets must start at 0");
-  SRSR_CHECK(offsets_.back() == targets_.size(),
+Graph::Graph(std::vector<u64> offsets, std::vector<NodeId> targets) {
+  SRSR_CHECK(!offsets.empty(), "Graph: offsets must have at least one entry");
+  SRSR_CHECK(offsets.front() == 0, "Graph: offsets must start at 0");
+  SRSR_CHECK(offsets.back() == targets.size(),
         "Graph: offsets must end at targets.size()");
-  const NodeId n = num_nodes();
+  arrays_ = std::make_shared<const Arrays>(
+      Arrays{std::move(offsets), std::move(targets)});
+  offsets_ = arrays_->offsets.data();
+  targets_ = arrays_->targets.data();
+  num_nodes_ = static_cast<NodeId>(arrays_->offsets.size() - 1);
+  const NodeId n = num_nodes_;
   for (NodeId u = 0; u < n; ++u) {
     SRSR_CHECK(offsets_[u] <= offsets_[u + 1], "Graph: offsets must be monotone");
     const auto nbrs = out_neighbors(u);
@@ -22,6 +26,16 @@ Graph::Graph(std::vector<u64> offsets, std::vector<NodeId> targets)
               "Graph: neighbor lists must be sorted and duplicate-free");
     }
   }
+}
+
+bool Graph::operator==(const Graph& other) const {
+  return std::ranges::equal(offsets(), other.offsets()) &&
+         std::ranges::equal(targets(), other.targets());
+}
+
+u64 Graph::memory_bytes() const {
+  return arrays_->offsets.capacity() * sizeof(u64) +
+         arrays_->targets.capacity() * sizeof(NodeId);
 }
 
 bool Graph::has_edge(NodeId u, NodeId v) const {
@@ -46,7 +60,7 @@ u64 Graph::num_dangling() const {
 
 std::vector<u64> Graph::in_degrees() const {
   std::vector<u64> in(num_nodes(), 0);
-  for (const NodeId v : targets_) ++in[v];
+  for (const NodeId v : targets()) ++in[v];
   return in;
 }
 

@@ -32,15 +32,21 @@ class PageRank {
  public:
   explicit PageRank(const graph::Graph& g);
 
+  /// The solver for the reverse of `g` (every edge flipped), built
+  /// without reversing: the pull walks g's own out-lists, with
+  /// 1/in-degree weights, and nodes with no in-edges dangle. Scores
+  /// are bitwise identical to PageRank(graph::reverse(g)).
+  // srsr-analyze: allow(contract): every Graph is valid input; its constructor checked it.
+  static PageRank over_reverse(const graph::Graph& g);
+
   /// Runs the power method from the uniform start vector (or the
   /// config's warm start).
   RankResult solve(const SolverConfig& config) const;
 
-  const graph::Graph& graph() const { return *graph_; }
-
  private:
-  const graph::Graph* graph_;       // non-owning; must outlive the solver
-  graph::Graph reverse_;            // transposed topology for pull iteration
+  PageRank(graph::Graph in_lists, const std::vector<u64>& out_degree);
+
+  graph::Graph in_lists_;           // row v: the nodes linking to v
   std::vector<f64> inv_out_degree_; // 1/out_degree, 0 for dangling
   std::vector<NodeId> dangling_;
 };

@@ -136,6 +136,12 @@ auto pull_step(const ThrottledView& op, f64 alpha, bool complete_deficits) {
   };
 }
 
+std::vector<u64> out_degrees(const graph::Graph& g) {
+  std::vector<u64> d(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) d[u] = g.out_degree(u);
+  return d;
+}
+
 }  // namespace
 
 void validate_solver_config(f64 alpha,
@@ -206,19 +212,28 @@ RankResult gauss_seidel_solve(const StochasticMatrix& matrix,
       ThrottledView(matrix, transpose, identity_plan(matrix)), config);
 }
 
-PageRank::PageRank(const graph::Graph& g)
-    : graph_(&g), reverse_(graph::reverse(g)) {
-  const NodeId n = g.num_nodes();
+PageRank::PageRank(graph::Graph in_lists, const std::vector<u64>& out_degree)
+    : in_lists_(std::move(in_lists)) {
+  const NodeId n = in_lists_.num_nodes();
   inv_out_degree_.resize(n);
   for (NodeId u = 0; u < n; ++u) {
-    const u64 d = g.out_degree(u);
+    const u64 d = out_degree[u];
     inv_out_degree_[u] = d == 0 ? 0.0 : 1.0 / static_cast<f64>(d);
     if (d == 0) dangling_.push_back(u);
   }
 }
 
+PageRank::PageRank(const graph::Graph& g)
+    : PageRank(graph::reverse(g), out_degrees(g)) {}
+
+PageRank PageRank::over_reverse(const graph::Graph& g) {
+  // The reverse of g has g as its in-lists and g's in-degrees as its
+  // out-degrees (reverse(reverse(g)) == g exactly).
+  return PageRank(g, g.in_degrees());
+}
+
 RankResult PageRank::solve(const SolverConfig& config) const {
-  const NodeId n = graph_->num_nodes();
+  const NodeId n = in_lists_.num_nodes();
   validate_solver_config(config.alpha, config.teleport, config.initial, n);
   const f64 alpha = config.alpha;
   // The power step over the reverse graph, fused into one pass per row;
@@ -231,7 +246,7 @@ RankResult PageRank::solve(const SolverConfig& config) const {
     for (const NodeId u : dangling_) dangling_mass += cur[u];
     parallel_for(0, next.size(), [&](std::size_t v) {
       f64 acc = 0.0;
-      for (const NodeId u : reverse_.out_neighbors(static_cast<NodeId>(v)))
+      for (const NodeId u : in_lists_.out_neighbors(static_cast<NodeId>(v)))
         acc += cur[u] * inv_out_degree_[u];
       next[v] = alpha * (acc + dangling_mass * teleport[v]) +
                 (1.0 - alpha) * teleport[v];

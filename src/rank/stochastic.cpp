@@ -64,8 +64,8 @@ StochasticMatrix::StochasticMatrix(std::vector<u64> offsets,
 }
 
 StochasticMatrix StochasticMatrix::uniform_from_graph(const graph::Graph& g) {
-  std::vector<u64> offsets = g.offsets();
-  std::vector<NodeId> cols = g.targets();
+  std::vector<u64> offsets(g.offsets().begin(), g.offsets().end());
+  std::vector<NodeId> cols(g.targets().begin(), g.targets().end());
   std::vector<f64> weights(cols.size());
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     const u64 d = g.out_degree(u);

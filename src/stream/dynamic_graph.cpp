@@ -25,7 +25,8 @@ DynamicSourceGraph::DynamicSourceGraph(const graph::Graph& pages,
       hosts_(std::move(hosts).resolve(map.num_sources(),
                                       "DynamicSourceGraph")) {
   // graph::Graph guarantees sorted, distinct out-neighbors per page, so
-  // the base is a plain copy of the seed CSR.
+  // the base is the seed CSR itself: the copy shares its arrays until
+  // the first overlay fold builds a fresh base.
   SRSR_CHECK(pages.num_nodes() == map.num_pages(),
              "DynamicSourceGraph: page graph and source map disagree on "
              "page count");

@@ -13,7 +13,9 @@
 //
 //   - Pages: an immutable CSR base (the seed page graph: u64 offsets
 //     plus one target array, sorted and distinct per page) and an
-//     overlay keyed by page id. A page moves into the overlay, as its
+//     overlay keyed by page id. The base shares the caller's arrays
+//     (graph::Graph copies share storage), so the crawl is held once
+//     until the first fold. A page moves into the overlay, as its
 //     own sorted vector, on its first state-changing insert or erase;
 //     pages from add_page live only there. Once the overlay holds more
 //     than 1/16 of the base's pages, apply() folds it into a fresh base.

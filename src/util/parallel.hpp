@@ -2,9 +2,10 @@
 //
 // Rank kernels are memory-bound sparse matrix–vector products; the only
 // parallel constructs the library needs are a static-partitioned parallel
-// for and a parallel sum reduction. Wrapping them here keeps OpenMP
-// pragmas out of algorithm code and gives a serial fallback when the
-// toolchain lacks OpenMP (SRSR_HAVE_OPENMP is set by the build).
+// for and a sum reduction whose result does not depend on the thread
+// count. Wrapping them here keeps OpenMP pragmas out of algorithm code
+// and gives a serial fallback when the toolchain lacks OpenMP
+// (SRSR_HAVE_OPENMP is set by the build).
 #pragma once
 
 #include <algorithm>
@@ -41,30 +42,6 @@ void parallel_for(std::size_t begin, std::size_t end, Fn&& fn) {
 #else
   for (std::size_t i = begin; i < end; ++i) fn(i);
 #endif
-}
-
-/// Parallel sum-reduction of fn(i) over [begin, end).
-///
-/// FAST but only run-to-run deterministic for a FIXED thread count:
-/// OpenMP's reduction combines per-thread partials in an order that
-/// depends on how many threads the runtime launched, so the same input
-/// can produce last-ulp-different sums on different machines (or under
-/// OMP_NUM_THREADS overrides). Use parallel_sum_deterministic wherever
-/// the result feeds a reproducibility contract (solver residuals,
-/// traces, convergence decisions).
-template <typename Fn>
-f64 parallel_sum(std::size_t begin, std::size_t end, Fn&& fn) {
-  f64 total = 0.0;
-#if defined(SRSR_HAVE_OPENMP)
-#pragma omp parallel for schedule(static) reduction(+ : total)
-  for (std::ptrdiff_t i = static_cast<std::ptrdiff_t>(begin);
-       i < static_cast<std::ptrdiff_t>(end); ++i) {
-    total += fn(static_cast<std::size_t>(i));
-  }
-#else
-  for (std::size_t i = begin; i < end; ++i) total += fn(i);
-#endif
-  return total;
 }
 
 /// Chunk width of the deterministic reduction. Fixed (never derived

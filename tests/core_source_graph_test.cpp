@@ -177,5 +177,24 @@ TEST(SourceGraph, WebCorpusConsensusRowsAreStochastic) {
   }
 }
 
+TEST(SourceGraph, ArraysAreExactlySized) {
+  // A model keeps the topology and consensus counts for its lifetime,
+  // so neither may carry capacity sized at the raw (origin, target)
+  // pair count: every page's links collapse into far fewer entries.
+  graph::WebGenConfig cfg;
+  cfg.num_sources = 120;
+  cfg.seed = 5;
+  const auto corpus = graph::generate_web_corpus(cfg);
+  const SourceMap map = SourceMap::from_corpus(corpus);
+  const SourceGraph sg(corpus.pages, map);
+  ASSERT_LT(sg.num_edges(), corpus.pages.num_edges());
+  const auto& topology = sg.topology();
+  ASSERT_GT(topology.num_edges(), 0u);
+  EXPECT_EQ(topology.memory_bytes(),
+            topology.offsets().size_bytes() + topology.targets().size_bytes());
+  EXPECT_EQ(sg.consensus_counts().capacity(), sg.consensus_counts().size());
+  EXPECT_EQ(sg.consensus_counts().size(), topology.num_edges());
+}
+
 }  // namespace
 }  // namespace srsr::core

@@ -99,6 +99,26 @@ TEST(Graph, EqualityIsStructural) {
 TEST(Graph, MemoryBytesAccounting) {
   const Graph g = triangle();
   EXPECT_EQ(g.memory_bytes(), 4 * sizeof(u64) + 3 * sizeof(NodeId));
+  // The bytes of the referenced arrays, capacity included; a copy
+  // references the same arrays and reports the same bytes.
+  std::vector<NodeId> targets{1, 2, 0};
+  targets.reserve(64);
+  const Graph roomy({0, 1, 2, 3}, std::move(targets));
+  EXPECT_EQ(roomy.memory_bytes(), 4 * sizeof(u64) + 64 * sizeof(NodeId));
+  EXPECT_EQ(Graph(roomy).memory_bytes(), roomy.memory_bytes());
+}
+
+TEST(Graph, CopySharesArraysAndOutlivesOriginal) {
+  auto original = std::make_unique<Graph>(triangle());
+  const Graph copy = *original;
+  EXPECT_EQ(copy.targets().data(), original->targets().data());
+  EXPECT_EQ(copy.offsets().data(), original->offsets().data());
+  EXPECT_EQ(copy, *original);
+  original.reset();
+  EXPECT_EQ(copy, triangle());  // value equality, separate arrays
+  EXPECT_EQ(copy.num_edges(), 3u);
+  EXPECT_TRUE(copy.has_edge(2, 0));
+  EXPECT_EQ(copy.out_neighbors(1)[0], 2u);
 }
 
 TEST(HostIndex, ResolvesNamesBothWays) {

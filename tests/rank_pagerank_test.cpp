@@ -10,6 +10,8 @@
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/transforms.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace srsr::rank {
@@ -216,6 +218,32 @@ TEST_P(PageRankAlphaSweep, DistributionAndConvergence) {
 
 INSTANTIATE_TEST_SUITE_P(Alphas, PageRankAlphaSweep,
                          ::testing::Values(0.0, 0.5, 0.8, 0.85, 0.9, 0.99));
+
+TEST(PageRank, OverReverseMatchesReversedGraphBitwise) {
+  // over_reverse pulls over g itself; solving on an explicitly reversed
+  // graph must give the same bits, dangling (no in-edge) rows included,
+  // at every thread count.
+  Pcg32 rng(7);
+  const auto g = graph::erdos_renyi(300, 0.01, rng);
+  ASSERT_GT(std::ranges::count(g.in_degrees(), 0u), 0);
+  SolverConfig cfg = tight();
+  std::vector<f64> teleport(g.num_nodes(), 0.0);
+  teleport[3] = teleport[17] = 1.0;
+  cfg.teleport = teleport;
+  const auto reference = pagerank(graph::reverse(g), cfg);
+#if defined(SRSR_HAVE_OPENMP)
+  const int saved = omp_get_max_threads();
+  for (const int threads : {1, 2, 4}) {
+    omp_set_num_threads(threads);
+    const auto r = PageRank::over_reverse(g).solve(cfg);
+    EXPECT_EQ(r.iterations, reference.iterations) << threads << " threads";
+    EXPECT_EQ(r.scores, reference.scores) << threads << " threads";
+  }
+  omp_set_num_threads(saved);
+#else
+  EXPECT_EQ(PageRank::over_reverse(g).solve(cfg).scores, reference.scores);
+#endif
+}
 
 }  // namespace
 }  // namespace srsr::rank

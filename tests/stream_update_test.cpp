@@ -399,6 +399,11 @@ TEST(DynamicSourceGraph, RandomizedEditsCrossBothCompactionThresholds) {
   const core::SourceMap map(corpus.page_source);
   DynamicSourceGraph graph(corpus.pages, map, corpus.source_hosts);
   auto shadow = Shadow::of(corpus);
+  // The base shares corpus.pages' arrays until the first fold; a deep
+  // copy pins that no edit or fold writes through to them.
+  const graph::Graph seed_pages(
+      {corpus.pages.offsets().begin(), corpus.pages.offsets().end()},
+      {corpus.pages.targets().begin(), corpus.pages.targets().end()});
   EdgeStream stream(graph.num_pages());
   Pcg32 rng(2024);
   std::vector<NodeId> emptied;  // pages stripped last round, to re-link
@@ -445,14 +450,40 @@ TEST(DynamicSourceGraph, RandomizedEditsCrossBothCompactionThresholds) {
   EXPECT_GE(storage.page_folds, 2u);
   EXPECT_GE(storage.arena_compactions, 2u);
   EXPECT_LE(storage.arena_entries, 2 * graph.row_entries());
+  EXPECT_EQ(corpus.pages, seed_pages);
+}
+
+TEST(DynamicSourceGraph, SeedsFromTemporaryGraph) {
+  // The base shares the seed graph's arrays, so a graph that dies with
+  // the constructor's full expression must leave a working base.
+  const auto corpus = small_corpus(30, 17);
+  const core::SourceMap map(corpus.page_source);
+  DynamicSourceGraph graph(
+      graph::Graph(
+          {corpus.pages.offsets().begin(), corpus.pages.offsets().end()},
+          {corpus.pages.targets().begin(), corpus.pages.targets().end()}),
+      map, corpus.source_hosts);
+  auto shadow = Shadow::of(corpus);
+  expect_bitwise_parity(graph, shadow, "temporary seed");
+  expect_topology_parity(graph, shadow, "temporary seed");
+
+  NodeId p = 0;
+  while (corpus.pages.out_degree(p) == 0) ++p;
+  EdgeStream stream(graph.num_pages());
+  stream.insert_link(p, corpus.num_pages() - 1);
+  stream.erase_link(p, corpus.pages.out_neighbors(p).front());
+  const auto batch = stream.commit();
+  graph.apply(batch);
+  shadow.mirror(batch, graph);
+  expect_bitwise_parity(graph, shadow, "temporary seed edited");
 }
 
 TEST(DynamicSourceGraph, SeedsFromRawCsrGraph) {
   // A page graph taken straight from CSR arrays, not from GraphBuilder:
   // a dangling page, a self link, several links into one source and a
-  // page linking to every page. The base is a copy of these arrays; it
-  // needs no re-sort because graph::Graph rejects unsorted rows and
-  // parallel edges (graph_test), so no Graph can carry them.
+  // page linking to every page. The base shares these arrays; it needs
+  // no re-sort because graph::Graph rejects unsorted rows and parallel
+  // edges (graph_test), so no Graph can carry them.
   const graph::Graph pages({0, 3, 3, 5, 7, 8, 14},
                            {1, 2, 3, 0, 4, 2, 3, 5, 0, 1, 2, 3, 4, 5});
   Shadow shadow;

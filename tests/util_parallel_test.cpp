@@ -30,35 +30,6 @@ TEST(ParallelFor, EmptyRangeIsNoop) {
   EXPECT_EQ(calls.load(), 0);
 }
 
-TEST(ParallelSum, MatchesSerialSum) {
-  constexpr std::size_t kN = 5000;
-  const f64 parallel = parallel_sum(0, kN, [](std::size_t i) {
-    return static_cast<f64>(i) * 0.5;
-  });
-  f64 serial = 0.0;
-  for (std::size_t i = 0; i < kN; ++i) serial += static_cast<f64>(i) * 0.5;
-  EXPECT_NEAR(parallel, serial, 1e-6);
-}
-
-TEST(ParallelSum, EmptyRangeIsZero) {
-  EXPECT_DOUBLE_EQ(parallel_sum(3, 3, [](std::size_t) { return 1.0; }), 0.0);
-}
-
-TEST(ParallelSum, RunToRunDeterministic) {
-  // Static scheduling with a fixed thread count fixes the reduction
-  // order, so repeated runs are bit-identical — the property the
-  // solvers' determinism rests on.
-  constexpr std::size_t kN = 100000;
-  auto run = [&] {
-    return parallel_sum(0, kN, [](std::size_t i) {
-      return 1.0 / static_cast<f64>(i + 1);
-    });
-  };
-  const f64 a = run();
-  const f64 b = run();
-  EXPECT_EQ(a, b);
-}
-
 TEST(ParallelSumDeterministic, MatchesSerialSum) {
   constexpr std::size_t kN = 3 * kDeterministicSumChunk + 129;
   const f64 det = parallel_sum_deterministic(0, kN, [](std::size_t i) {
@@ -85,8 +56,8 @@ TEST(ParallelSumDeterministic, EmptyAndSubChunkRanges) {
 TEST(ParallelSumDeterministic, BitIdenticalAcrossThreadCounts) {
   // The whole point of the variant: the chunk width and the pairwise
   // combine tree are fixed independently of how many threads run, so
-  // the result is bit-identical no matter the parallelism — unlike
-  // parallel_sum, whose grouping follows the thread count.
+  // the result is bit-identical no matter the parallelism — unlike an
+  // OpenMP reduction, whose grouping follows the thread count.
   constexpr std::size_t kN = 10 * kDeterministicSumChunk + 777;
   auto run = [&] {
     return parallel_sum_deterministic(0, kN, [](std::size_t i) {

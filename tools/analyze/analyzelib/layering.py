@@ -23,11 +23,11 @@ ALLOWED: dict[str, list[str]] = {
     "metrics": ["util", "obs"],
     "graph": ["util", "obs"],
     "spam": ["util", "obs", "graph"],
-    "analysis": ["util", "obs", "metrics"],
-    "rank": ["util", "obs", "metrics", "graph"],
+    "analysis": ["util"],
+    "rank": ["util", "obs", "graph"],
     "core": ["util", "obs", "graph", "rank"],
-    "stream": ["util", "obs", "metrics", "graph", "rank", "core"],
-    "serve": ["util", "obs", "metrics", "graph", "rank", "core", "stream"],
+    "stream": ["util", "graph", "rank", "core"],
+    "serve": ["util", "obs", "graph", "core", "stream"],
 }
 
 RE_INCLUDE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
