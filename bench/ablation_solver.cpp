@@ -41,7 +41,6 @@ void run() {
 
     const auto power = rank::power_solve(tprime, sc);
     const auto jacobi = rank::jacobi_solve(tprime, sc);
-    const auto gs = rank::gauss_seidel_solve(tprime, sc);
     rank::PushConfig pc;
     pc.alpha = kAlpha;
     pc.epsilon = 1e-9 / static_cast<f64>(tprime.num_rows());
@@ -49,8 +48,6 @@ void run() {
     row(which, "T' (sources)", "power", power, "1.000");
     row(which, "T' (sources)", "jacobi", jacobi,
         TextTable::fixed(metrics::kendall_tau(power.scores, jacobi.scores), 4));
-    row(which, "T' (sources)", "gauss-seidel", gs,
-        TextTable::fixed(metrics::kendall_tau(power.scores, gs.scores), 4));
     t.add_row(
         {graph::dataset_name(which), "T' (sources)",
          "push (pushes/n)",

@@ -219,14 +219,14 @@ void BM_KappaSweepMaterialized(benchmark::State& state) {
   sc.alpha = model.config().alpha;
   sc.convergence = model.config().convergence;
   // Warm solve, then count allocations over the timed sweeps.
-  sc.initial = rank::gauss_seidel_solve(model.throttled_matrix(kappas[0]), sc).scores;
+  sc.initial = rank::power_solve(model.throttled_matrix(kappas[0]), sc).scores;
   alloc_counter::large_threshold.store(
       large_threshold_of(model.base_matrix()), std::memory_order_relaxed);
   alloc_counter::reset();
   u64 solves = 0;
   for (auto _ : state) {
     for (const auto& kappa : kappas) {
-      const auto r = rank::gauss_seidel_solve(model.throttled_matrix(kappa), sc);
+      const auto r = rank::power_solve(model.throttled_matrix(kappa), sc);
       benchmark::DoNotOptimize(r.scores.data());
       sc.initial = r.scores;
       ++solves;
@@ -252,14 +252,14 @@ void BM_KappaSweepView(benchmark::State& state) {
   sc.convergence = model.config().convergence;
   // First solve (warm caches), then assert the sweep itself never
   // touches an O(E) allocation again.
-  sc.initial = rank::gauss_seidel_solve(model.throttled_view(kappas[0]), sc).scores;
+  sc.initial = rank::power_solve(model.throttled_view(kappas[0]), sc).scores;
   alloc_counter::large_threshold.store(
       large_threshold_of(model.base_matrix()), std::memory_order_relaxed);
   alloc_counter::reset();
   u64 solves = 0;
   for (auto _ : state) {
     for (const auto& kappa : kappas) {
-      const auto r = rank::gauss_seidel_solve(model.throttled_view(kappa), sc);
+      const auto r = rank::power_solve(model.throttled_view(kappa), sc);
       benchmark::DoNotOptimize(r.scores.data());
       sc.initial = r.scores;
       ++solves;
@@ -314,23 +314,6 @@ void BM_PushSolveLocal(benchmark::State& state) {
   state.counters["pushes"] = static_cast<double>(pushes);
 }
 BENCHMARK(BM_PushSolveLocal)->Unit(benchmark::kMillisecond);
-
-void BM_GaussSeidelSourceMatrix(benchmark::State& state) {
-  const auto& corpus = corpus_of(4000);
-  const core::SourceMap map = core::SourceMap::from_corpus(corpus);
-  const core::SourceGraph sg(corpus.pages, map);
-  const auto m = sg.consensus_matrix(true);
-  rank::SolverConfig cfg;
-  cfg.convergence.tolerance = 1e-9;
-  u32 iters = 0;
-  for (auto _ : state) {
-    const auto r = rank::gauss_seidel_solve(m, cfg);
-    iters = r.iterations;
-    benchmark::DoNotOptimize(r.scores.data());
-  }
-  state.counters["iterations"] = iters;
-}
-BENCHMARK(BM_GaussSeidelSourceMatrix)->Unit(benchmark::kMillisecond);
 
 void BM_SccDecomposition(benchmark::State& state) {
   const auto& corpus = corpus_of(4000);

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "graph/builder.hpp"
 #include "graph/transforms.hpp"
-#include "util/check.hpp"
 
 namespace srsr::graph {
 
@@ -81,21 +79,6 @@ SccResult strongly_connected_components(const Graph& g) {
     }
   }
   return result;
-}
-
-Graph condensation(const Graph& g, const SccResult& scc) {
-  SRSR_CHECK(scc.component.size() == g.num_nodes(),
-             "condensation: SCC result covers ", scc.component.size(),
-             " nodes, graph has ", g.num_nodes());
-  GraphBuilder b(scc.num_components);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const NodeId cu = scc.component[u];
-    for (const NodeId v : g.out_neighbors(u)) {
-      const NodeId cv = scc.component[v];
-      if (cu != cv) b.add_edge(cu, cv);
-    }
-  }
-  return b.build();
 }
 
 namespace {

@@ -1,11 +1,11 @@
 // Strongly connected components and web macro-structure.
 //
 // Web-graph substrate: SCC decomposition (iterative Tarjan — web graphs
-// blow the stack on the recursive form), the condensation DAG, and the
-// classic "bow-tie" decomposition (Broder et al.) relative to the
-// largest SCC: CORE / IN (reaches the core) / OUT (reached from the
-// core) / DISCONNECTED-or-TENDRILS (the rest). Used by the dataset
-// reports and as a structural sanity check on generated corpora.
+// blow the stack on the recursive form) and the classic "bow-tie"
+// decomposition (Broder et al.) relative to the largest SCC: CORE / IN
+// (reaches the core) / OUT (reached from the core) /
+// DISCONNECTED-or-TENDRILS (the rest). Used by the dataset reports and
+// as a structural sanity check on generated corpora.
 #pragma once
 
 #include <vector>
@@ -17,7 +17,7 @@ namespace srsr::graph {
 
 struct SccResult {
   /// node -> component id; components are numbered in REVERSE
-  /// topological order of the condensation (an edge u->v with
+  /// topological order of the component DAG (an edge u->v with
   /// different components implies component[u] >= component[v]).
   std::vector<NodeId> component;
   u32 num_components = 0;
@@ -30,10 +30,6 @@ struct SccResult {
 
 /// Tarjan's algorithm, iterative. O(V + E).
 SccResult strongly_connected_components(const Graph& g);
-
-/// Condensation DAG: one node per SCC, deduplicated edges between
-/// distinct components.
-Graph condensation(const Graph& g, const SccResult& scc);
 
 /// Bow-tie decomposition relative to the largest SCC.
 struct BowTie {

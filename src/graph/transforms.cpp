@@ -1,9 +1,8 @@
 #include "graph/transforms.hpp"
 
-#include <algorithm>
+#include <vector>
 
-#include "graph/builder.hpp"
-#include "util/check.hpp"
+#include "util/common.hpp"
 
 namespace srsr::graph {
 
@@ -20,90 +19,6 @@ Graph reverse(const Graph& g) {
   for (NodeId u = 0; u < n; ++u)
     for (const NodeId v : g.out_neighbors(u)) targets[cursor[v]++] = u;
   return Graph(std::move(offsets), std::move(targets));
-}
-
-Graph remove_self_loops(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  std::vector<u64> offsets(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<NodeId> targets;
-  targets.reserve(g.num_edges());
-  for (NodeId u = 0; u < n; ++u) {
-    for (const NodeId v : g.out_neighbors(u))
-      if (v != u) targets.push_back(v);
-    offsets[u + 1] = targets.size();
-  }
-  return Graph(std::move(offsets), std::move(targets));
-}
-
-Graph add_self_loops(const Graph& g) {
-  const NodeId n = g.num_nodes();
-  std::vector<u64> offsets(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<NodeId> targets;
-  targets.reserve(g.num_edges() + n);
-  for (NodeId u = 0; u < n; ++u) {
-    bool inserted = false;
-    for (const NodeId v : g.out_neighbors(u)) {
-      if (!inserted && v >= u) {
-        if (v != u) targets.push_back(u);
-        inserted = true;
-      }
-      targets.push_back(v);
-    }
-    if (!inserted) targets.push_back(u);
-    offsets[u + 1] = targets.size();
-  }
-  return Graph(std::move(offsets), std::move(targets));
-}
-
-Induced induced_subgraph(const Graph& g, const std::vector<NodeId>& nodes) {
-  std::vector<NodeId> to_old = nodes;
-  std::sort(to_old.begin(), to_old.end());
-  for (std::size_t i = 1; i < to_old.size(); ++i)
-    SRSR_CHECK(to_old[i - 1] != to_old[i], "induced_subgraph: duplicate node id");
-  std::vector<NodeId> to_new(g.num_nodes(), kInvalidNode);
-  for (std::size_t i = 0; i < to_old.size(); ++i) {
-    SRSR_CHECK(to_old[i] < g.num_nodes(), "induced_subgraph: id out of range");
-    to_new[to_old[i]] = static_cast<NodeId>(i);
-  }
-  std::vector<u64> offsets(to_old.size() + 1, 0);
-  std::vector<NodeId> targets;
-  for (std::size_t i = 0; i < to_old.size(); ++i) {
-    for (const NodeId v : g.out_neighbors(to_old[i]))
-      if (to_new[v] != kInvalidNode) targets.push_back(to_new[v]);
-    offsets[i + 1] = targets.size();
-  }
-  return {Graph(std::move(offsets), std::move(targets)), std::move(to_old)};
-}
-
-Graph with_edges(const Graph& g,
-                 const std::vector<std::pair<NodeId, NodeId>>& extra) {
-  GraphBuilder b(g);
-  for (const auto& [u, v] : extra) b.add_edge(u, v);
-  return b.build();
-}
-
-Graph relabel(const Graph& g, const std::vector<NodeId>& new_id) {
-  const NodeId n = g.num_nodes();
-  SRSR_CHECK(new_id.size() == n, "relabel: permutation size mismatch");
-  std::vector<bool> seen(n, false);
-  for (const NodeId v : new_id) {
-    SRSR_CHECK(v < n, "relabel: id out of range");
-    SRSR_CHECK(!seen[v], "relabel: not a permutation (duplicate id)");
-    seen[v] = true;
-  }
-  GraphBuilder b(n);
-  b.reserve_edges(g.num_edges());
-  for (NodeId u = 0; u < n; ++u)
-    for (const NodeId v : g.out_neighbors(u))
-      b.add_edge(new_id[u], new_id[v]);
-  return b.build();
-}
-
-std::vector<u64> out_degree_histogram(const Graph& g, u64 max_degree) {
-  std::vector<u64> hist(max_degree + 1, 0);
-  for (NodeId u = 0; u < g.num_nodes(); ++u)
-    ++hist[std::min(g.out_degree(u), max_degree)];
-  return hist;
 }
 
 }  // namespace srsr::graph

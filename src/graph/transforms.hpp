@@ -1,11 +1,7 @@
 // Whole-graph transformations. All return new immutable Graphs.
 #pragma once
 
-#include <utility>
-#include <vector>
-
 #include "graph/graph.hpp"
-#include "util/common.hpp"
 
 namespace srsr::graph {
 
@@ -13,35 +9,5 @@ namespace srsr::graph {
 /// the paper's spam-proximity computation (Sec. 5), which walks the
 /// *inverted* source graph.
 Graph reverse(const Graph& g);
-
-/// Copy without self-loops.
-Graph remove_self_loops(const Graph& g);
-
-/// Copy with a self-loop on every node (the paper's Sec. 3.3 source-
-/// graph augmentation: "all sources have a self-edge").
-Graph add_self_loops(const Graph& g);
-
-/// Subgraph induced by `nodes` (need not be sorted; duplicates are a
-/// contract violation). Returns the subgraph plus the mapping from new
-/// id -> old id.
-struct Induced {
-  Graph graph;
-  std::vector<NodeId> to_old;
-};
-Induced induced_subgraph(const Graph& g, const std::vector<NodeId>& nodes);
-
-/// Union of g's edges and `extra` edges (ids must be < g.num_nodes()).
-Graph with_edges(const Graph& g,
-                 const std::vector<std::pair<NodeId, NodeId>>& extra);
-
-/// Relabels every node: old id u becomes new_id[u]. `new_id` must be a
-/// permutation of [0, num_nodes). Node ordering is the single biggest
-/// lever on BV-style compression (gap sizes follow locality), so the
-/// ordering experiments live on this primitive.
-Graph relabel(const Graph& g, const std::vector<NodeId>& new_id);
-
-/// Histogram of out-degrees: result[d] = number of nodes with degree d
-/// (capped at `max_degree`, larger degrees counted in the last bucket).
-std::vector<u64> out_degree_histogram(const Graph& g, u64 max_degree);
 
 }  // namespace srsr::graph

@@ -13,7 +13,7 @@
 //     "meta": {"<key>": <string|number>, ...},
 //     "stages": [{"stage": "<name>", "seconds": <f64>}, ...],
 //     "solver": {            // present once set_solver() was called
-//       "name": "<power|jacobi|gauss_seidel|push|pagerank|...>",
+//       "name": "<power|jacobi|push|pagerank|...>",
 //       "iterations": <u32>, "residual": <f64>, "converged": <bool>,
 //       "seconds": <f64>, "iterations_per_second": <f64>,
 //       "first_residual": <f64>, "last_residual": <f64>,

@@ -9,7 +9,7 @@
 
 namespace srsr::rank {
 
-enum class Norm { kL1, kL2, kLinf };
+enum class Norm { kL1, kL2 };
 
 /// Stop when ||x_{k+1} - x_k||_norm < tolerance, or at max_iterations.
 /// The paper's setting (Sec. 6.1): L2 distance of successive Power
@@ -29,8 +29,6 @@ struct Convergence {
     switch (norm) {
       case Norm::kL1:
         return l1_distance(a, b);
-      case Norm::kLinf:
-        return linf_distance(a, b);
       case Norm::kL2:
       default:
         return l2_distance(a, b);

@@ -61,19 +61,4 @@ void ThrottledView::pull(std::span<const f64> x, std::span<f64> y) const {
   // srsr:endhot
 }
 
-f64 ThrottledView::pull_off_diagonal(NodeId v, std::span<const f64> x) const {
-  SRSR_DCHECK(v < num_rows() && x.size() == num_rows(),
-              "ThrottledView::pull_off_diagonal: row ", v, " of ",
-              num_rows(), ", x has ", x.size(), " entries");
-  const auto cs = pull_->row_cols(v);
-  const auto ws = pull_->row_weights(v);
-  const f64* const scale = plan_.off_scale.data();
-  f64 acc = 0.0;
-  for (std::size_t i = 0; i < cs.size(); ++i) {
-    const NodeId u = cs[i];
-    if (u != v) acc += x[u] * scale[u] * ws[i];
-  }
-  return acc;
-}
-
 }  // namespace srsr::rank

@@ -1,12 +1,10 @@
 // ThrottledView: the one operator the iterative solvers consume.
 //
-// The solvers never needed a concrete matrix — they need four access
+// The solvers never needed a concrete matrix — they need two access
 // patterns over one:
 //
 //   pull(x, y)               y = A^T x, the hot kernel of the power and
 //                            Jacobi routes (parallel across rows);
-//   pull_off_diagonal(v, x)  the Gauss-Seidel inner step (serial);
-//   diagonal(v)              A_vv, for the implicit Gauss-Seidel solve;
 //   base() + plan()          forward rows of B and the per-row map that
 //                            turns them into A, for residual push.
 //
@@ -92,13 +90,6 @@ class ThrottledView {
   /// destination rows; x and y must both have num_rows() entries and
   /// must not alias.
   void pull(std::span<const f64> x, std::span<f64> y) const;
-
-  /// sum_{u != v} x_u * A_uv — the Gauss-Seidel off-diagonal pull for
-  /// one destination row (serial by nature).
-  f64 pull_off_diagonal(NodeId v, std::span<const f64> x) const;
-
-  /// A_vv.
-  f64 diagonal(NodeId v) const { return plan_.diagonal[v]; }
 
  private:
   const StochasticMatrix* base_;

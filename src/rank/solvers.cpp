@@ -1,6 +1,5 @@
 #include "rank/solvers.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -168,29 +167,6 @@ RankResult jacobi_solve(const ThrottledView& op, const SolverConfig& config) {
                  pull_step(op, config.alpha, /*complete_deficits=*/false));
 }
 
-RankResult gauss_seidel_solve(const ThrottledView& op,
-                              const SolverConfig& config) {
-  validate_solver_config(config.alpha, config.teleport, config.initial,
-                         op.num_rows());
-  const f64 alpha = config.alpha;
-  // One serial sweep in place over a copy of the previous iterate.
-  const auto sweep = [&op, alpha](const std::vector<f64>& cur,
-                                  std::vector<f64>& next,
-                                  const std::vector<f64>& teleport) {
-    // srsr:hot gauss-seidel-sweep
-    std::copy(cur.begin(), cur.end(), next.begin());
-    const NodeId n = op.num_rows();
-    for (NodeId v = 0; v < n; ++v) {
-      const f64 acc = op.pull_off_diagonal(v, next);
-      const f64 denom = 1.0 - alpha * op.diagonal(v);
-      next[v] = (alpha * acc + (1.0 - alpha) * teleport[v]) / denom;
-    }
-    // srsr:endhot
-  };
-  return iterate(op.num_rows(), config, "gauss_seidel",
-                 "rank.gauss_seidel.solve", sweep);
-}
-
 RankResult power_solve(const StochasticMatrix& matrix,
                        const SolverConfig& config) {
   const StochasticMatrix transpose = matrix.transpose();
@@ -203,13 +179,6 @@ RankResult jacobi_solve(const StochasticMatrix& matrix,
   const StochasticMatrix transpose = matrix.transpose();
   return jacobi_solve(ThrottledView(matrix, transpose, identity_plan(matrix)),
                       config);
-}
-
-RankResult gauss_seidel_solve(const StochasticMatrix& matrix,
-                              const SolverConfig& config) {
-  const StochasticMatrix transpose = matrix.transpose();
-  return gauss_seidel_solve(
-      ThrottledView(matrix, transpose, identity_plan(matrix)), config);
 }
 
 PageRank::PageRank(graph::Graph in_lists, const std::vector<u64>& out_degree)

@@ -11,20 +11,14 @@
 //                  Gleich/Zhukov/Berkhin and Bianchini et al. that the
 //                  paper cites, followed by the x/||x||_1 normalization
 //                  the paper applies.
-//   gauss_seidel_solve — the same linear system, but each sweep consumes
-//                  freshly-updated components, which roughly halves the
-//                  iteration count on web matrices at the cost of being
-//                  inherently sequential. Self-loop entries are solved
-//                  implicitly: x_v = (alpha * sum_{u != v} A_uv x_u +
-//                  (1-alpha) c_v) / (1 - alpha * A_vv).
 //
-// On a matrix with no dangling rows the three produce the same vector (a
+// On a matrix with no dangling rows the two produce the same vector (a
 // property test pins this); with dangling rows they differ exactly by
 // the dangling-mass completion, which is also the documented behaviour
 // of the original algorithms. PageRank (rank/pagerank.hpp) is the power
 // route over an unweighted page graph.
 //
-// All of them — power, Jacobi, Gauss-Seidel and PageRank — run through
+// All of them — power, Jacobi and PageRank — run through
 // ONE stationary-iteration driver (solvers.cpp). The driver owns the
 // start vector, the stop rule, the IterationTrace hook, the final L1
 // normalization, the output contract, the srsr.rank.<name>.{solves,
@@ -76,18 +70,10 @@ RankResult power_solve(const StochasticMatrix& matrix,
 RankResult jacobi_solve(const StochasticMatrix& matrix,
                         const SolverConfig& config);
 
-/// Gauss-Seidel sweeps on the linear form, then L1 normalization. Like
-/// jacobi_solve, deficit mass evaporates.
-RankResult gauss_seidel_solve(const StochasticMatrix& matrix,
-                              const SolverConfig& config);
-
 /// Operator forms: iterate a ThrottledView instead of transposing a
 /// materialized matrix per solve. The matrix overloads above transpose
 /// once and run these over a view under identity_plan(matrix).
-/// Gauss-Seidel sweeps via pull_off_diagonal() / diagonal().
 RankResult power_solve(const ThrottledView& op, const SolverConfig& config);
 RankResult jacobi_solve(const ThrottledView& op, const SolverConfig& config);
-RankResult gauss_seidel_solve(const ThrottledView& op,
-                              const SolverConfig& config);
 
 }  // namespace srsr::rank

@@ -85,24 +85,6 @@ TEST(Scc, DeepChainDoesNotOverflowStack) {
   EXPECT_EQ(scc.num_components, n);
 }
 
-TEST(Condensation, IsAcyclicAndCollapsed) {
-  GraphBuilder b(5);
-  b.add_edge(0, 1);
-  b.add_edge(1, 0);  // SCC {0,1}
-  b.add_edge(1, 2);
-  b.add_edge(2, 3);
-  b.add_edge(3, 2);  // SCC {2,3}
-  b.add_edge(3, 4);  // singleton {4}
-  const Graph g = b.build();
-  const auto scc = strongly_connected_components(g);
-  const Graph dag = condensation(g, scc);
-  EXPECT_EQ(dag.num_nodes(), 3u);
-  EXPECT_EQ(dag.num_edges(), 2u);
-  // A DAG's SCCs are all singletons.
-  const auto dag_scc = strongly_connected_components(dag);
-  EXPECT_EQ(dag_scc.num_components, dag.num_nodes());
-}
-
 TEST(BowTie, HandCraftedDecomposition) {
   // in(0) -> core{1,2} -> out(3); 4 disconnected.
   GraphBuilder b(5);

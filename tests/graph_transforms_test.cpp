@@ -47,130 +47,5 @@ TEST(Reverse, SwapsInAndOutDegrees) {
     EXPECT_EQ(r.out_degree(u), in[u]);
 }
 
-TEST(RemoveSelfLoops, RemovesOnlySelfLoops) {
-  GraphBuilder b(3);
-  b.add_edge(0, 0);
-  b.add_edge(0, 1);
-  b.add_edge(1, 1);
-  b.add_edge(2, 0);
-  const Graph g = remove_self_loops(b.build());
-  EXPECT_EQ(g.num_edges(), 2u);
-  EXPECT_FALSE(g.has_edge(0, 0));
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(2, 0));
-}
-
-TEST(AddSelfLoops, EveryNodeGetsOne) {
-  GraphBuilder b(4);
-  b.add_edge(0, 1);
-  b.add_edge(1, 1);  // already has one
-  const Graph g = add_self_loops(b.build());
-  for (NodeId u = 0; u < 4; ++u) EXPECT_TRUE(g.has_edge(u, u));
-  // 0->1 kept, 1->1 not duplicated.
-  EXPECT_EQ(g.num_edges(), 5u);
-}
-
-TEST(AddSelfLoops, Idempotent) {
-  Pcg32 rng(12);
-  const Graph g = erdos_renyi(30, 0.1, rng);
-  const Graph once = add_self_loops(g);
-  EXPECT_EQ(add_self_loops(once), once);
-}
-
-TEST(AddRemoveSelfLoops, ComposeToClean) {
-  Pcg32 rng(13);
-  const Graph g = remove_self_loops(erdos_renyi(30, 0.1, rng));
-  EXPECT_EQ(remove_self_loops(add_self_loops(g)), g);
-}
-
-TEST(InducedSubgraph, KeepsInternalEdgesOnly) {
-  GraphBuilder b(5);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(2, 3);
-  b.add_edge(3, 4);
-  const Graph g = b.build();
-  const auto sub = induced_subgraph(g, {1, 2, 4});
-  EXPECT_EQ(sub.graph.num_nodes(), 3u);
-  // Only 1->2 survives (2->3 and 3->4 cross the boundary).
-  EXPECT_EQ(sub.graph.num_edges(), 1u);
-  EXPECT_TRUE(sub.graph.has_edge(0, 1));  // new ids: 1 -> 0, 2 -> 1
-  EXPECT_EQ(sub.to_old[0], 1u);
-  EXPECT_EQ(sub.to_old[1], 2u);
-  EXPECT_EQ(sub.to_old[2], 4u);
-}
-
-TEST(InducedSubgraph, FullNodeSetIsIdentity) {
-  Pcg32 rng(14);
-  const Graph g = erdos_renyi(20, 0.2, rng);
-  std::vector<NodeId> all(20);
-  for (NodeId i = 0; i < 20; ++i) all[i] = i;
-  EXPECT_EQ(induced_subgraph(g, all).graph, g);
-}
-
-TEST(InducedSubgraph, RejectsDuplicatesAndOutOfRange) {
-  const Graph g = cycle(4);
-  EXPECT_THROW(induced_subgraph(g, {1, 1}), Error);
-  EXPECT_THROW(induced_subgraph(g, {9}), Error);
-}
-
-TEST(WithEdges, AddsAndDedups) {
-  const Graph g = path(3);  // 0->1->2
-  const Graph g2 = with_edges(g, {{2, 0}, {0, 1}});
-  EXPECT_EQ(g2.num_edges(), 3u);  // 0->1 deduped
-  EXPECT_TRUE(g2.has_edge(2, 0));
-}
-
-TEST(Relabel, PermutesStructure) {
-  GraphBuilder b(3);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  const Graph g = b.build();
-  // 0->2, 1->0, 2->1
-  const Graph r = relabel(g, {2, 0, 1});
-  EXPECT_TRUE(r.has_edge(2, 0));  // old 0->1
-  EXPECT_TRUE(r.has_edge(0, 1));  // old 1->2
-  EXPECT_EQ(r.num_edges(), 2u);
-}
-
-TEST(Relabel, IdentityPermutationIsNoop) {
-  Pcg32 rng(15);
-  const Graph g = erdos_renyi(40, 0.1, rng);
-  std::vector<NodeId> id(40);
-  for (NodeId i = 0; i < 40; ++i) id[i] = i;
-  EXPECT_EQ(relabel(g, id), g);
-}
-
-TEST(Relabel, InverseRecoversOriginal) {
-  Pcg32 rng(16);
-  const Graph g = erdos_renyi(50, 0.08, rng);
-  std::vector<NodeId> perm(50);
-  for (NodeId i = 0; i < 50; ++i) perm[i] = i;
-  shuffle(rng, perm);
-  std::vector<NodeId> inverse(50);
-  for (NodeId i = 0; i < 50; ++i) inverse[perm[i]] = i;
-  EXPECT_EQ(relabel(relabel(g, perm), inverse), g);
-}
-
-TEST(Relabel, RejectsNonPermutations) {
-  const Graph g = cycle(3);
-  EXPECT_THROW(relabel(g, {0, 1}), Error);        // wrong size
-  EXPECT_THROW(relabel(g, {0, 1, 1}), Error);     // duplicate
-  EXPECT_THROW(relabel(g, {0, 1, 5}), Error);     // out of range
-}
-
-TEST(OutDegreeHistogram, CountsAndCaps) {
-  GraphBuilder b(4);
-  b.add_edge(0, 1);
-  b.add_edge(0, 2);
-  b.add_edge(0, 3);
-  b.add_edge(1, 0);
-  const Graph g = b.build();
-  const auto hist = out_degree_histogram(g, 2);
-  EXPECT_EQ(hist[0], 2u);  // nodes 2, 3
-  EXPECT_EQ(hist[1], 1u);  // node 1
-  EXPECT_EQ(hist[2], 1u);  // node 0 (degree 3, capped)
-}
-
 }  // namespace
 }  // namespace srsr::graph

@@ -125,12 +125,6 @@ TEST(ObsTrace, WeightedSolversHonorTheHook) {
   const auto jacobi = jacobi_solve(m, sc);
   EXPECT_EQ(jacobi_trace.size(), static_cast<std::size_t>(jacobi.iterations));
   EXPECT_EQ(jacobi_trace.records().back().residual, jacobi.residual);
-
-  obs::IterationTrace gs_trace;
-  sc.convergence.trace = &gs_trace;
-  const auto gs = gauss_seidel_solve(m, sc);
-  EXPECT_EQ(gs_trace.size(), static_cast<std::size_t>(gs.iterations));
-  EXPECT_EQ(gs_trace.records().back().residual, gs.residual);
 }
 
 TEST(ObsTrace, PushEmitsSweepEquivalents) {
@@ -184,7 +178,6 @@ TEST(ObsTrace, EverySolverRecordsItsMetricsAndSpan) {
   const std::vector<Case> cases = {
       {"power", [&] { return power_solve(m, sc); }},
       {"jacobi", [&] { return jacobi_solve(m, sc); }},
-      {"gauss_seidel", [&] { return gauss_seidel_solve(m, sc); }},
       {"pagerank", [&] { return pagerank(g, sc); }},
   };
 

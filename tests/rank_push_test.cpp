@@ -8,10 +8,10 @@
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "graph/transforms.hpp"
 #include "rank/operator.hpp"
 #include "rank/solvers.hpp"
 #include "util/rng.hpp"
+#include "test_graphs.hpp"
 
 namespace srsr::rank {
 namespace {
@@ -31,7 +31,7 @@ SolverConfig solver_tight() {
 
 TEST(PushSolve, MatchesJacobiOnAugmentedMatrix) {
   Pcg32 rng(301);
-  const auto g = graph::add_self_loops(graph::erdos_renyi(60, 0.08, rng));
+  const auto g = fixture::with_self_loops(graph::erdos_renyi(60, 0.08, rng));
   const auto m = StochasticMatrix::uniform_from_graph(g);
   const auto push = push_solve(m, push_tight());
   const auto jacobi = jacobi_solve(m, solver_tight());
@@ -73,7 +73,7 @@ TEST(PushSolve, WorkScalesWithLocality) {
   // A uniform seed must touch everything; a point seed with modest
   // accuracy touches a neighborhood.
   Pcg32 rng(302);
-  const auto g = graph::add_self_loops(graph::erdos_renyi(500, 0.01, rng));
+  const auto g = fixture::with_self_loops(graph::erdos_renyi(500, 0.01, rng));
   const auto m = StochasticMatrix::uniform_from_graph(g);
   PushConfig local;
   local.epsilon = 1e-6;
@@ -102,7 +102,7 @@ TEST(PushSolve, HeavySelfLoopsMatchJacobi) {
   // Diagonal 0.99 on every row: a FIFO push would settle 1% of a row's
   // residual per visit; the closed form settles it in one.
   Pcg32 rng(303);
-  const auto g = graph::add_self_loops(graph::erdos_renyi(60, 0.08, rng));
+  const auto g = fixture::with_self_loops(graph::erdos_renyi(60, 0.08, rng));
   const auto base = StochasticMatrix::uniform_from_graph(g);
   const auto t = base.transpose();
   const RowAffinePlan identity = identity_plan(base);
@@ -169,7 +169,7 @@ TEST(PushSolve, DenseFrontierSolveIsBitwiseRepeatable) {
   // A cold solve starts with every row active, so it runs id-order
   // sweeps before dropping back to FIFO; both orders are serial.
   Pcg32 rng(305);
-  const auto g = graph::add_self_loops(graph::erdos_renyi(400, 0.02, rng));
+  const auto g = fixture::with_self_loops(graph::erdos_renyi(400, 0.02, rng));
   const auto m = StochasticMatrix::uniform_from_graph(g);
   const auto first = push_solve(m, push_tight());
   ASSERT_TRUE(first.converged);

@@ -11,10 +11,10 @@
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "graph/transforms.hpp"
 #include "rank/pagerank.hpp"
 #include "rank/push.hpp"
 #include "util/rng.hpp"
+#include "test_graphs.hpp"
 
 namespace srsr::rank {
 namespace {
@@ -72,7 +72,7 @@ TEST(PowerSolve, WeightedTwoNodeClosedForm) {
 TEST(PowerAndJacobi, AgreeWithoutDanglingRows) {
   Pcg32 rng(52);
   // Self-loops on every node guarantee no dangling rows.
-  const auto g = graph::add_self_loops(graph::erdos_renyi(80, 0.05, rng));
+  const auto g = fixture::with_self_loops(graph::erdos_renyi(80, 0.05, rng));
   const auto m = StochasticMatrix::uniform_from_graph(g);
   ASSERT_TRUE(m.dangling_rows().empty());
   const auto p = power_solve(m, tight());
@@ -149,15 +149,13 @@ TEST(Solvers, RejectBadConfig) {
   const StochasticMatrix mt = m.transpose();
   const ThrottledView view(m, mt, identity_plan(m));
   const PageRank pr(g);
-  // Every public entry checks its own config: power, Jacobi and
-  // Gauss-Seidel in both forms, PageRank and push.
+  // Every public entry checks its own config: power and Jacobi in both
+  // forms, PageRank and push.
   const std::vector<std::function<void(const SolverConfig&)>> solvers = {
       [&](const SolverConfig& c) { power_solve(m, c); },
       [&](const SolverConfig& c) { power_solve(view, c); },
       [&](const SolverConfig& c) { jacobi_solve(m, c); },
       [&](const SolverConfig& c) { jacobi_solve(view, c); },
-      [&](const SolverConfig& c) { gauss_seidel_solve(m, c); },
-      [&](const SolverConfig& c) { gauss_seidel_solve(view, c); },
       [&](const SolverConfig& c) { pr.solve(c); },
   };
   const auto push = [&](const SolverConfig& c) {
@@ -205,7 +203,7 @@ class SolverAgreement : public ::testing::TestWithParam<u64> {};
 
 TEST_P(SolverAgreement, PowerEqualsJacobiOnAugmentedMatrices) {
   Pcg32 rng(GetParam());
-  const auto g = graph::add_self_loops(graph::erdos_renyi(60, 0.06, rng));
+  const auto g = fixture::with_self_loops(graph::erdos_renyi(60, 0.06, rng));
   const auto m = StochasticMatrix::uniform_from_graph(g);
   const auto p = power_solve(m, tight());
   const auto j = jacobi_solve(m, tight());

@@ -5,10 +5,10 @@
 
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
-#include "graph/transforms.hpp"
 #include "rank/pagerank.hpp"
 #include "rank/solvers.hpp"
 #include "util/rng.hpp"
+#include "test_graphs.hpp"
 
 namespace srsr::rank {
 namespace {
@@ -51,7 +51,9 @@ TEST(WarmStart, FewerIterationsAfterSmallEdit) {
   Pcg32 rng(93);
   const auto g = graph::erdos_renyi(300, 0.03, rng);
   const auto base = pagerank(g, pr_tight());
-  const auto edited = graph::with_edges(g, {{1, 0}, {2, 0}, {3, 0}});
+  graph::GraphBuilder b(g);
+  for (const NodeId u : {1, 2, 3}) b.add_edge(u, 0);
+  const auto edited = b.build();
   const auto cold = pagerank(edited, pr_tight());
   SolverConfig warm_cfg = pr_tight();
   warm_cfg.initial = base.scores;
@@ -85,7 +87,7 @@ TEST(WarmStart, RejectsInvalidInitialVectors) {
 
 TEST(WarmStart, WeightedSolversSupportInitialToo) {
   Pcg32 rng(94);
-  const auto g = graph::add_self_loops(graph::erdos_renyi(80, 0.06, rng));
+  const auto g = fixture::with_self_loops(graph::erdos_renyi(80, 0.06, rng));
   const auto m = StochasticMatrix::uniform_from_graph(g);
   SolverConfig sc;
   sc.convergence.tolerance = 1e-11;

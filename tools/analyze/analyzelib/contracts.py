@@ -31,7 +31,9 @@ RE_CONTRACT = re.compile(
     r"\bSRSR_CHECK\b|\bSRSR_DCHECK\b|\bSRSR_DEBUG_VALIDATE\b|\bvalidate_\w+\s*\(")
 
 # Declaration: identifier + param list ending in `;` (no body) at class
-# or namespace scope, extracted from scrubbed header text.
+# or namespace scope, extracted from scrubbed header text. A call
+# statement inside an inline body has the same shape; matches that fall
+# inside a body SourceFile.functions() extracted are skipped.
 RE_DECL = re.compile(
     r"\b([A-Za-z_]\w*)\s*\(([^;{}()]*(?:\([^()]*\)[^;{}()]*)*)\)"
     r"\s*(?:const\s*)?(?:noexcept\s*)?(?:override\s*)?(?:->\s*[\w:<>&*\s]+)?\s*;")
@@ -99,11 +101,14 @@ def collect_module(ctx: Context, module: str):
     for path in headers:
         sf = ctx.file(path)
         visible = _public_lines(sf.lines)
+        body_spans = [fn.body_span for fn in sf.functions()]
         seen_in_file: set[str] = set()
         for m in RE_DECL.finditer(sf.scrubbed):
             lineno = sf.scrubbed.count("\n", 0, m.start(1)) + 1
             name = m.group(1)
             if lineno not in visible or name in seen_in_file:
+                continue
+            if any(lo < m.start(1) < hi for lo, hi in body_spans):
                 continue
             if name in EXEMPT_NAMES or name.startswith("operator") or \
                     name.startswith("~") or name in ("if", "while", "for",

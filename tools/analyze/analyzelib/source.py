@@ -120,6 +120,7 @@ class FuncDef:
     line: int            # 1-based line of the opening parenthesis
     body: str            # scrubbed body text (between { and })
     body_line: int       # 1-based line of the opening brace
+    body_span: tuple[int, int]  # scrubbed offsets of { and }
 
     def calls(self) -> set[str]:
         names = set(re.findall(r"\b([A-Za-z_]\w*)\s*\(", self.body))
@@ -207,15 +208,16 @@ def _identifier_before(text: str, pos: int):
 
 
 def _blank_preprocessor(scrubbed: str) -> str:
-    """Empties preprocessor directives (with `\\` continuations) so a
-    function-like macro body is never misread as a definition."""
+    """Blanks preprocessor directives (with `\\` continuations) so a
+    function-like macro body is never misread as a definition. Every
+    offset into the text is kept."""
     out = []
     cont = False
     for line in scrubbed.split("\n"):
         strip = line.lstrip()
         if cont or strip.startswith("#"):
             cont = line.rstrip().endswith("\\")
-            out.append("")
+            out.append(" " * len(line))
         else:
             cont = False
             out.append(line)
@@ -324,6 +326,7 @@ def extract_functions(scrubbed: str) -> list[FuncDef]:
             line=line,
             body=scrubbed[brace + 1:j2 - 1],
             body_line=body_line,
+            body_span=(brace, j2 - 1),
         ))
         i = j2
     return funcs
